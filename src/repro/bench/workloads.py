@@ -18,14 +18,13 @@ writer, ``Topology.run_sequential_write``, and copy-pasted example
 bodies).
 
 A workload body is a generator that returns ``(start_ns, end_ns,
-result)`` — end time at index 1 is a contract the sharded DES engine
-relies on when harvesting completion times.  ``Workload.row`` reduces
-one finished body to the JSON-able per-client dict that fleet results,
-the sweep cache, and run fingerprints are built from.
+result)``.  ``Workload.row`` reduces one finished body to the JSON-able
+per-client dict that fleet results, the sweep cache, and run
+fingerprints are built from.
 
 All randomness inside workload bodies comes from named
 :class:`~repro.sim.RngStreams` streams keyed by the client's name, so
-fleets stay bit-reproducible and shard-invariant.
+fleets stay bit-reproducible.
 """
 
 from __future__ import annotations
@@ -210,8 +209,8 @@ def get_workload(name: str, params: Optional[Dict[str, Any]] = None) -> Workload
 def client_workload_body(stack, workload: Workload, offset_ns: int = 0):
     """The canonical per-client driver generator.
 
-    Module-level so serial fleets, shard workers, and single-bed runs
-    execute the *same* generator — byte for byte — around any workload:
+    Module-level so fleets and single-bed runs execute the *same*
+    generator — byte for byte — around any workload:
     an optional staggered start, then the workload body.
     """
     sim = stack.sim

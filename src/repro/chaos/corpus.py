@@ -120,15 +120,11 @@ def replay_file(
     env: Optional[Dict[str, str]] = None,
     verify_determinism: bool = True,
     sanitize: bool = False,
-    shards: int = 0,
 ) -> CorpusReplay:
     """Load one scenario file, run it, and audit its ``expect`` block."""
     spec = load_scenario(path, env)
     outcome = run_spec(
-        spec,
-        verify_determinism=verify_determinism,
-        sanitize=sanitize,
-        shards=shards,
+        spec, verify_determinism=verify_determinism, sanitize=sanitize
     )
     return CorpusReplay(
         path=path,

@@ -5,8 +5,7 @@ Each *draw* samples a random scenario — bed, workload, link faults
 pause/crash/restart, client slot starvation, over single-client or
 fleet topologies — from a named RNG stream derived from the fuzz seed,
 then runs it under the full invariant suite: durability checks, the
-runtime sanitizers, the determinism replay, and (fleet draws, when
-``shards >= 2``) serial equivalence under the parallel engine.
+runtime sanitizers, and the determinism replay.
 
 Any violation becomes a finding: the schedule is delta-debug shrunk
 (:mod:`repro.chaos.shrink`) to a minimal reproducer preserving the
@@ -213,22 +212,20 @@ def fuzz(
     seed: int,
     draws: int,
     sanitize: bool = True,
-    shards: int = 0,
     corpus_root: Optional[str] = None,
     max_shrink_attempts: int = 80,
 ) -> FuzzReport:
     """Run one fuzz campaign: ``draws`` seeded draws, shrink failures.
 
-    ``shards >= 2`` adds the serial-equivalence invariant to fleet
-    draws.  With ``corpus_root``, every shrunk finding is auto-saved
-    under ``<corpus_root>/regressions/`` with pinned expectations and
-    full provenance.
+    With ``corpus_root``, every shrunk finding is auto-saved under
+    ``<corpus_root>/regressions/`` with pinned expectations and full
+    provenance.
     """
     report = FuzzReport(seed=seed, draws=draws)
     for i in range(draws):
         rng = RngStreams(seed).stream(f"fuzz/draw{i}")
         spec = draw_spec(rng, f"fuzz-{seed}-{i:03d}")
-        outcome = run_spec(spec, sanitize=sanitize, shards=shards)
+        outcome = run_spec(spec, sanitize=sanitize)
         signature = failure_signature(outcome.invariants)
         report.rows.append(
             {
@@ -250,17 +247,14 @@ def fuzz(
 
         def oracle(candidate: ScenarioSpec) -> Tuple[str, ...]:
             result = run_spec(
-                candidate,
-                sanitize=sanitize,
-                shards=shards,
-                verify_determinism=verify,
+                candidate, sanitize=sanitize, verify_determinism=verify
             )
             return failure_signature(result.invariants)
 
         shrunk = shrink(
             spec, oracle, signature=signature, max_attempts=max_shrink_attempts
         )
-        shrunk_outcome = run_spec(shrunk.spec, sanitize=sanitize, shards=shards)
+        shrunk_outcome = run_spec(shrunk.spec, sanitize=sanitize)
         saved = None
         if corpus_root is not None:
             saved = save_regression(

@@ -11,9 +11,8 @@ Three execution shapes, chosen by the spec:
 * **single** (``bed.clients == 1``): one :class:`TestBed`, link faults
   on the switch, server schedules, slot starvation, probes;
 * **fleet** (``bed.clients > 1``): a :class:`Topology` of identical
-  clients driven through :class:`FleetFaults` — the same routing object
-  the sharded engine uses, so ``shards >= 2`` can replay the identical
-  fault set under the parallel engine and assert serial equivalence;
+  clients, armed the same way — link faults on the switch, slot
+  starvation on the targeted client, server schedules;
 * **sweep** (``sweep.loss_rates``): the bed re-runs once per loss rate
   (the monotone-loss shape).
 
@@ -31,6 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..bench.runner import TestBed
 from ..config import MountConfig, NetConfig
 from ..errors import ConfigError, EioError, ReproError
+from ..faults.client import SlotStarvation
 from ..faults.link import (
     DelayJitter,
     DropFrames,
@@ -132,6 +132,28 @@ def _arm_server_events(spec: ScenarioSpec, servers) -> List[ServerFaultSchedule]
     return out
 
 
+def _arm_client_events(spec: ScenarioSpec, stacks) -> List[SlotStarvation]:
+    """Slot-starvation windows on the client stacks they target."""
+    out = []
+    for event in spec.client_events:
+        if not 0 <= event.client < len(stacks):
+            raise ConfigError(
+                f"client event targets client {event.client}; scenario has "
+                f"{len(stacks)} client(s)"
+            )
+        stack = stacks[event.client]
+        out.append(
+            SlotStarvation(
+                stack.sim,
+                stack.nfs.xprt,
+                event.start_ns,
+                event.end_ns,
+                slots=event.slots,
+            )
+        )
+    return out
+
+
 def _arm_probes(spec: ScenarioSpec, bed: TestBed) -> List[Dict[str, int]]:
     snapshots: List[Dict[str, int]] = []
     for probe in spec.probes:
@@ -204,12 +226,7 @@ def _execute_single(spec: ScenarioSpec, seed: int):
     for (host, direction), fault in built.port_faults().items():
         bed.switch.install_fault(host, **{direction: fault})
     schedules = _arm_server_events(spec, [bed.server])
-    from ..faults.client import SlotStarvation
-
-    starvations = [
-        SlotStarvation(bed.sim, bed.nfs.xprt, e.start_ns, e.end_ns, slots=e.slots)
-        for e in spec.client_events
-    ]
+    starvations = _arm_client_events(spec, [bed])
     snapshots = _arm_probes(spec, bed)
     wl = spec.workload
 
@@ -300,39 +317,6 @@ def _fleet_attach(attach: str, names: List[str], server_names: List[str]) -> str
     return attach
 
 
-def _fleet_faults(spec: ScenarioSpec, seed: int, job):
-    """A fresh FleetFaults (live fault objects, new RNG streams)."""
-    from ..parallel.des.plan import FleetFaults, client_names
-    from ..topology.build import _named_server_specs
-
-    names = client_names(job)
-    server_names = [s.name for s in _named_server_specs(job.servers)]
-    rngs = RngStreams(seed)
-    built = _BuiltFaults()
-    for lf in spec.link_faults:
-        built.add(
-            _fleet_attach(lf.attach, names, server_names),
-            lf.direction,
-            _build_link_fault(lf, rngs, spec.name),
-        )
-    for event in spec.server_events:
-        if event.server >= len(job.servers):
-            raise ConfigError(
-                f"server event targets server {event.server}; scenario "
-                f"has {len(job.servers)} server(s)"
-            )
-    faults = FleetFaults(
-        server_schedules=tuple(_group_server_ops(spec.server_events)),
-        client_events=tuple(
-            (e.client, (e.start_ns, e.end_ns, e.slots))
-            for e in spec.client_events
-        ),
-    )
-    for (host, direction), fault in built.port_faults().items():
-        getattr(faults, direction)[host] = fault
-    return faults, built
-
-
 def _execute_fleet(spec: ScenarioSpec, seed: int):
     from ..topology.build import Topology
     from ..topology.fleet import FleetWorkload, reduce_fleet
@@ -342,9 +326,23 @@ def _execute_fleet(spec: ScenarioSpec, seed: int):
     if spec.workload is not None and spec.workload.expect == "eio":
         raise ConfigError("eio expectation is single-client only")
     job = _fleet_job(spec, seed)
-    faults, built = _fleet_faults(spec, seed, job)
     topo = Topology(clients=job.clients, servers=job.servers, switch=job.switch)
-    schedules = faults.apply_serial(topo)
+    names = [stack.name for stack in topo.clients]
+    server_names = [s.name for s in topo.server_specs]
+    rngs = RngStreams(seed)
+    built = _BuiltFaults()
+    for lf in spec.link_faults:
+        built.add(
+            _fleet_attach(lf.attach, names, server_names),
+            lf.direction,
+            _build_link_fault(lf, rngs, spec.name),
+        )
+    # Arming order (links, client events, server schedules) fixes the
+    # event sequence numbers the pinned fleet fingerprints depend on.
+    for (host, direction), fault in built.port_faults().items():
+        topo.switch.install_fault(host, **{direction: fault})
+    starvations = _arm_client_events(spec, topo.clients)
+    schedules = _arm_server_events(spec, topo.servers)
     workload = FleetWorkload(
         topo,
         job.file_bytes,
@@ -371,10 +369,9 @@ def _execute_fleet(spec: ScenarioSpec, seed: int):
         payload,
         topology=topo,
         point=point,
-        starvations=getattr(faults, "starvations", []),
+        starvations=starvations,
         schedules=schedules,
     )
-    ctx.fleet_job = job
     return payload, ctx
 
 
@@ -499,8 +496,6 @@ def run_spec(
     seed: Optional[int] = None,
     verify_determinism: bool = True,
     sanitize: bool = False,
-    shards: int = 0,
-    shard_transport: str = "inline",
 ) -> ScenarioOutcome:
     """Run one declarative scenario and audit its selected checks.
 
@@ -508,11 +503,6 @@ def run_spec(
     ``verify_determinism`` the spec executes twice and both payload
     fingerprints must match; with ``sanitize`` the first run executes
     under the runtime sanitizers, adding the three ``sanitize-*`` rows.
-
-    ``shards >= 2`` (fleet specs only) additionally replays the same
-    spec — same seed, fresh faults — under the sharded parallel engine
-    and appends a ``serial-equivalence`` row comparing the two reduced
-    fleet fingerprints.
     """
     seed = spec.seed if seed is None else seed
     san_session = None
@@ -573,23 +563,6 @@ def run_spec(
                 "deterministic",
                 replay_fp == fingerprint,
                 f"{fingerprint[:12]} vs replay {replay_fp[:12]}",
-            )
-        )
-    if shards >= 2 and spec.bed.clients > 1 and error is None:
-        from ..parallel.des import run_sharded_fleet
-
-        job = ctx.fleet_job
-        faults, _ = _fleet_faults(spec, seed, job)
-        sharded = run_sharded_fleet(
-            job, shards=shards, transport=shard_transport, faults=faults
-        )
-        serial_fp = ctx.point.run_fingerprint()
-        sharded_fp = sharded.point.run_fingerprint()
-        invariants.append(
-            Invariant(
-                "serial-equivalence",
-                sharded_fp == serial_fp,
-                f"serial {serial_fp[:12]} vs {shards}-shard {sharded_fp[:12]}",
             )
         )
     return ScenarioOutcome(

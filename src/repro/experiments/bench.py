@@ -9,18 +9,13 @@ Four lanes, each measuring a layer the sweeps actually stress:
 * **headline** — wall-clock of the paper's headline progression
   (stock vs fully-patched client, 30 MB vs the filer), plus the
   simulated improvement factor it reproduces.
-* **fleet** — a 32-client fleet point against the filer: aggregate
-  throughput, Jain's index, and the serial-vs-sharded wall-clock pair
-  (``--shards 4``) with the bit-identity check that makes the sharded
-  number meaningful.
+* **fleet** — a 32-client fleet point against the filer: wall-clock,
+  aggregate throughput, Jain's index and the event count.
 * **cache** — warm hit rate of the content-addressed result cache over
   a small sweep re-run.
 
 Simulated results are deterministic; the wall-clock fields are the only
-machine-dependent numbers and are recorded alongside ``nproc`` so a
-reader can judge the parallel-DES speedup in context (on a single-core
-container the four shard workers timeshare one CPU and the crossover
-sits above the machine, which the fleet lane documents explicitly).
+machine-dependent numbers and are recorded alongside ``nproc``.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ HEADLINE_MB = 30
 
 #: Fleet lane shape: the acceptance point for the perf trajectory.
 FLEET_CLIENTS = 32
-FLEET_SHARDS = 4
 FLEET_FILE_KIB = 1024
 
 
@@ -95,8 +89,7 @@ def _bench_headline(file_mb: int) -> Dict[str, Any]:
     }
 
 
-def _bench_fleet(clients: int, shards: int, file_kib: int) -> Dict[str, Any]:
-    from ..parallel.des import run_sharded_fleet
+def _bench_fleet(clients: int, file_kib: int) -> Dict[str, Any]:
     from ..topology import FleetJobSpec, run_fleet_job
     from ..units import KIB
 
@@ -104,41 +97,17 @@ def _bench_fleet(clients: int, shards: int, file_kib: int) -> Dict[str, Any]:
         clients, target="netapp", file_bytes=file_kib * KIB
     )
     started = _wall()
-    serial = run_fleet_job(spec)
-    serial_wall = _wall() - started
-
-    started = _wall()
-    sharded = run_sharded_fleet(spec, shards=shards).point
-    sharded_wall = _wall() - started
-
-    identical = sharded.run_fingerprint() == serial.run_fingerprint()
-    speedup = serial_wall / sharded_wall
-    nproc = os.cpu_count() or 1
-    row = {
+    point = run_fleet_job(spec)
+    elapsed = _wall() - started
+    return {
         "clients": clients,
-        "shards": shards,
         "file_kib": file_kib,
-        "aggregate_mbps": round(serial.aggregate_mbps, 2),
-        "jain": round(serial.fairness, 4),
-        "events": serial.events_processed,
-        "serial_wall_s": round(serial_wall, 3),
-        "sharded_wall_s": round(sharded_wall, 3),
-        "speedup_x": round(speedup, 2),
-        "fingerprints_identical": identical,
-        "nproc": nproc,
+        "aggregate_mbps": round(point.aggregate_mbps, 2),
+        "jain": round(point.fairness, 4),
+        "events": point.events_processed,
+        "wall_s": round(elapsed, 3),
+        "nproc": os.cpu_count() or 1,
     }
-    if nproc < shards and speedup < 2.0:
-        # The acceptance target (>= 2x at 32 clients / 4 shards) needs
-        # the shard workers on their own cores.  With nproc < shards
-        # they timeshare, adding IPC cost on top of the serial work, so
-        # the parallel crossover sits above this machine entirely.
-        row["crossover_note"] = (
-            f"nproc={nproc} < shards={shards}: worker processes timeshare "
-            "the cores, so sharding pays pipe/pickle overhead with no "
-            "concurrent execution to amortise it; the >=2x crossover "
-            "requires >= shards physical cores"
-        )
-    return row
 
 
 def _bench_cache() -> Dict[str, Any]:
@@ -174,11 +143,11 @@ def bench_payload(quick: bool = False) -> Dict[str, Any]:
     if quick:
         sim_core = _bench_sim_core(16, 500)
         headline = _bench_headline(4)
-        fleet = _bench_fleet(8, 2, 256)
+        fleet = _bench_fleet(8, 256)
     else:
         sim_core = _bench_sim_core(64, 2_000)
         headline = _bench_headline(HEADLINE_MB)
-        fleet = _bench_fleet(FLEET_CLIENTS, FLEET_SHARDS, FLEET_FILE_KIB)
+        fleet = _bench_fleet(FLEET_CLIENTS, FLEET_FILE_KIB)
     return {
         "bench": "repro-nfs",
         "quick": quick,
@@ -211,18 +180,12 @@ def run_bench(
         f"({headline['improvement_x']:.1f}x)\n"
     )
     out.write(
-        f"fleet      {fleet['aggregate_mbps']:>8.1f} MBps aggregate, "
+        f"fleet      {fleet['wall_s']:>10.2f} s wall   "
+        f"{fleet['aggregate_mbps']:.1f} MBps aggregate, "
         f"Jain {fleet['jain']:.4f} "
-        f"({fleet['clients']} clients)\n"
+        f"({fleet['clients']} clients, {fleet['events']:,} events, "
+        f"nproc={fleet['nproc']})\n"
     )
-    out.write(
-        f"           serial {fleet['serial_wall_s']:.2f} s vs "
-        f"{fleet['shards']} shards {fleet['sharded_wall_s']:.2f} s "
-        f"({fleet['speedup_x']:.2f}x, nproc={fleet['nproc']}, "
-        f"fingerprints {'identical' if fleet['fingerprints_identical'] else 'DIVERGED'})\n"
-    )
-    if "crossover_note" in fleet:
-        out.write(f"           note: {fleet['crossover_note']}\n")
     out.write(
         f"cache      {cache['warm_hit_rate']:.0%} warm hit rate "
         f"({cache['warm_hits']}/{cache['points']} points, "
@@ -233,4 +196,4 @@ def run_bench(
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")
         out.write(f"wrote {json_path}\n")
-    return 0 if fleet["fingerprints_identical"] else 1
+    return 0

@@ -113,14 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="scenario files only: run under the runtime sanitizers",
     )
-    run.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="scenario files only: replay fleet scenarios as N parallel "
-        "DES shards and audit serial equivalence (default 0 = skip)",
-    )
     corpus = sub.add_parser(
         "corpus",
         help="replay every scenario in the corpus against its pinned "
@@ -157,14 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=25,
         metavar="N",
         help="number of random scenarios to draw (default 25)",
-    )
-    fuzz.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        metavar="N",
-        help="shard count for fleet draws' serial-equivalence audit "
-        "(default 2; 0 = skip)",
     )
     fuzz.add_argument(
         "--no-sanitize",
@@ -254,19 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(load curves, knee, per-SLO verdicts) to PATH",
     )
     fleet.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run the fleet as N parallel DES shards (one worker process "
-        "per client group); must reproduce the serial fingerprint "
-        "bit-for-bit (default 1 = serial)",
-    )
-    fleet.add_argument(
         "--no-verify",
         action="store_true",
-        help="skip the second run that checks bit-for-bit determinism "
-        "(with --shards > 1, the check replays serially)",
+        help="skip the second run that checks bit-for-bit determinism",
     )
     fleet.add_argument(
         "--sanitize",
@@ -276,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="run the performance lanes (sim-core events/sec, headline "
-        "wall-clock, fleet serial-vs-sharded, cache hit rate)",
+        "wall-clock, 32-client fleet wall-clock, cache hit rate)",
     )
     bench.add_argument(
         "--json",
@@ -657,7 +631,6 @@ def run_fleet(
     file_kib: int = 1024,
     chunk_bytes: int = 8192,
     stagger_us: int = 0,
-    shards: int = 1,
     verify: bool = True,
     sanitize: bool = False,
     arrivals: Optional[str] = None,
@@ -674,12 +647,6 @@ def run_fleet(
     a second, uninstrumented time and the two reduced results must hash
     identically: the bit-for-bit contract, which also proves the
     sanitizers perturbed nothing.
-
-    ``shards > 1`` runs the same fleet as parallel DES shards: client
-    groups simulate in worker processes, the switch and servers in this
-    one.  Durable server state stays inspectable in-process, and the
-    ``deterministic-replay`` invariant becomes the sharded-vs-serial
-    equality check — the strongest form of the contract.
 
     ``arrivals`` switches the fleet open-loop: every client releases
     sessions on its own seeded arrival process (Poisson or MMPP, sized
@@ -737,32 +704,22 @@ def run_fleet(
             from ..obs.core import observed
 
             stack.enter_context(observed())
-        if shards > 1:
-            from ..parallel.des import run_sharded_fleet
-
-            outcome = run_sharded_fleet(spec, shards=shards)
-            point = outcome.point
-            live_servers = outcome.servers
-            if outcome.observability is not None:
-                registry = outcome.observability.timelines
-        else:
-            topo = Topology(
-                clients=spec.clients, servers=spec.servers, switch=spec.switch
-            )
-            fleet = FleetWorkload(
-                topo,
-                spec.file_bytes,
-                chunk_bytes=spec.chunk_bytes,
-                do_fsync=spec.do_fsync,
-                stagger_ns=spec.stagger_ns,
-                workload=spec.workload,
-                arrivals=spec.arrivals,
-                seed=spec.seed,
-            ).run(time_limit_ns=spec.time_limit_ns)
-            point = reduce_fleet(fleet)
-            live_servers = topo.servers
-            if arrival_spec is not None:
-                registry = topo.obs.timelines
+        topo = Topology(
+            clients=spec.clients, servers=spec.servers, switch=spec.switch
+        )
+        fleet = FleetWorkload(
+            topo,
+            spec.file_bytes,
+            chunk_bytes=spec.chunk_bytes,
+            do_fsync=spec.do_fsync,
+            stagger_ns=spec.stagger_ns,
+            workload=spec.workload,
+            arrivals=spec.arrivals,
+            seed=spec.seed,
+        ).run(time_limit_ns=spec.time_limit_ns)
+        point = reduce_fleet(fleet)
+        if arrival_spec is not None:
+            registry = topo.obs.timelines
     elapsed = time.time() - started  # noqa: DET102
 
     rows = [
@@ -772,7 +729,6 @@ def run_fleet(
         )
     ]
     width = max(len(r[0]) for r in rows)
-    sharding = f", {shards} shards" if shards > 1 else ""
     if arrival_spec is not None:
         load = (
             f"open-loop {arrival_spec.process} "
@@ -781,8 +737,7 @@ def run_fleet(
         )
     else:
         load = f"{file_kib} KiB each"
-    out.write(f"{clients} x {client_variant} client(s) -> {target}, "
-              f"{load}{sharding}\n")
+    out.write(f"{clients} x {client_variant} client(s) -> {target}, {load}\n")
     out.write(f"{'client'.ljust(width)}  write MBps   p99 us\n")
     for name, mb, p99 in rows:
         out.write(f"{name.ljust(width)}  {mb.rjust(10)}  {p99.rjust(7)}\n")
@@ -841,7 +796,7 @@ def run_fleet(
                 f"{completed}/{planned} sessions completed",
             )
         )
-    for server in live_servers:
+    for server in topo.servers:
         if server is None:
             continue
         if arrival_spec is not None:
@@ -893,13 +848,10 @@ def run_fleet(
     if verify:
         from ..topology import run_fleet_job
 
-        # Always replays serially: with shards > 1 this is the
-        # sharded-vs-serial bit-identity contract, not just a rerun.
         replay_fp = run_fleet_job(spec).run_fingerprint()
-        name = "deterministic-replay" if shards == 1 else "serial-equivalence"
         invariants.append(
             Invariant(
-                name,
+                "deterministic-replay",
                 replay_fp == fingerprint,
                 f"replay fingerprint {replay_fp[:12]} != {fingerprint[:12]}",
             )
@@ -986,7 +938,7 @@ def _write_invariants(invariants, out) -> None:
 
 
 def run_scenario_files(
-    paths: List[str], sanitize: bool = False, shards: int = 0, out=None
+    paths: List[str], sanitize: bool = False, out=None
 ) -> bool:
     """``repro-nfs run <scenario.json>``: replay declarative scenarios.
 
@@ -1003,7 +955,7 @@ def run_scenario_files(
     all_ok = True
     for path in paths:
         started = time.time()  # noqa: DET102 - wall-clock reporting only
-        replay = replay_file(path, sanitize=sanitize, shards=shards)
+        replay = replay_file(path, sanitize=sanitize)
         elapsed = time.time() - started  # noqa: DET102
         verdict = "PASS" if replay.verdict_ok else "FAIL"
         out.write(
@@ -1052,7 +1004,6 @@ def run_corpus(
 def run_fuzz_campaign(
     seed: int,
     draws: int,
-    shards: int = 2,
     sanitize: bool = True,
     save_dir: Optional[str] = None,
     json_path: Optional[str] = None,
@@ -1066,13 +1017,7 @@ def run_fuzz_campaign(
     if out is None:
         out = sys.stdout
     started = time.time()  # noqa: DET102 - wall-clock reporting only
-    report = fuzz(
-        seed,
-        draws,
-        sanitize=sanitize,
-        shards=shards,
-        corpus_root=save_dir,
-    )
+    report = fuzz(seed, draws, sanitize=sanitize, corpus_root=save_dir)
     elapsed = time.time() - started  # noqa: DET102
     for row in report.rows:
         verdict = "PASS" if row["passed"] else "FAIL"
@@ -1117,8 +1062,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"--clients must be >= 1, got {args.clients}")
         if args.file_kib < 1:
             parser.error(f"--file-kib must be >= 1, got {args.file_kib}")
-        if args.shards < 1:
-            parser.error(f"--shards must be >= 1, got {args.shards}")
         ok = run_fleet(
             args.clients,
             args.target,
@@ -1126,7 +1069,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             file_kib=args.file_kib,
             chunk_bytes=args.chunk,
             stagger_us=args.stagger_us,
-            shards=args.shards,
             verify=not args.no_verify,
             sanitize=args.sanitize,
             arrivals=args.arrivals,
@@ -1170,12 +1112,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "fuzz":
         if args.draws < 1:
             parser.error(f"--draws must be >= 1, got {args.draws}")
-        if args.shards < 0:
-            parser.error(f"--shards must be >= 0, got {args.shards}")
         ok = run_fuzz_campaign(
             seed=args.seed,
             draws=args.draws,
-            shards=args.shards,
             sanitize=not args.no_sanitize,
             save_dir=args.save_dir,
             json_path=args.json_path,
@@ -1232,9 +1171,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     experiment_args = [i for i in args.ids if not i.endswith(".json")]
     scenarios_ok = True
     if scenario_paths:
-        scenarios_ok = run_scenario_files(
-            scenario_paths, sanitize=args.sanitize, shards=args.shards
-        )
+        scenarios_ok = run_scenario_files(scenario_paths, sanitize=args.sanitize)
         if not experiment_args:
             return 0 if scenarios_ok else 1
     ids = experiment_ids() if "all" in experiment_args else experiment_args

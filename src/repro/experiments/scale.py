@@ -25,8 +25,7 @@ experiment covers, and they live on opposite sides of the stack:
   the larger the fleet.
 
 Both sweeps reuse the cached parallel executor, so ``--jobs``/warm
-caches apply; the sharded parallel-DES runner reproduces every one of
-these points bit-identically (``tests/parallel/test_des.py``).
+caches apply: each point is one independent fleet run.
 """
 
 from __future__ import annotations

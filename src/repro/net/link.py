@@ -159,40 +159,24 @@ class Link:
                 self.frames_duplicated += len(deliveries) - 1
                 if obs.enabled:
                     obs.count("net/frames_duplicated", len(deliveries) - 1)
+            # Fault delays break per-link arrival monotonicity, so every
+            # copy takes the eager per-frame path.
             for extra_delay in deliveries:
-                self._emit(arrival + extra_delay, deliver, args)
-            self._record_frame(start, arrival, wire_bytes, args)
-            return arrival
-        self._emit_clean(arrival, deliver, args)
+                self._sim.call_at(arrival + extra_delay, deliver, *args)
+        elif self.batch_delivery:
+            # Reserve the frame's ``(time, seq)`` key now but park it in
+            # the per-link FIFO; only the head frame holds a heap slot,
+            # and :meth:`_deliver_head` re-arms the next one.
+            sim = self._sim
+            seq = sim.alloc_seq()
+            self._pending.append((arrival, seq, deliver, args))
+            if not self._head_armed:
+                self._head_armed = True
+                sim.push_at(arrival, seq, self._deliver_head)
+        else:
+            self._sim.call_at(arrival, deliver, *args)
         self._record_frame(start, arrival, wire_bytes, args)
         return arrival
-
-    # -- delivery scheduling (overridden at shard boundaries) ----------------
-
-    def _emit(self, time: int, deliver: Callable[..., None], args) -> None:
-        """Schedule one (possibly fault-delayed) delivery copy.
-
-        Fault delays break per-link arrival monotonicity, so this is
-        always the eager per-frame path.
-        """
-        self._sim.call_at(time, deliver, *args)
-
-    def _emit_clean(self, arrival: int, deliver: Callable[..., None], args) -> None:
-        """Schedule an undisturbed delivery at ``arrival``.
-
-        Batched mode reserves the frame's ``(time, seq)`` key now but
-        parks the frame in the per-link FIFO; only the head frame holds
-        a heap slot, and :meth:`_deliver_head` re-arms the next one.
-        """
-        sim = self._sim
-        if not self.batch_delivery:
-            sim.call_at(arrival, deliver, *args)
-            return
-        seq = sim.alloc_seq()
-        self._pending.append((arrival, seq, deliver, args))
-        if not self._head_armed:
-            self._head_armed = True
-            sim.push_at(arrival, seq, self._deliver_head)
 
     def _deliver_head(self) -> None:
         _arrival, _seq, deliver, args = self._pending.popleft()

@@ -122,8 +122,6 @@ class Switch:
         "_registry",
         "_ports",
         "_dgram_seq",
-        "_dgram_offset",
-        "_dgram_stride",
         "_rng",
         "fragments_dropped",
         "obs",
@@ -138,8 +136,6 @@ class Switch:
         self._registry: List[Port] = []
         self._ports: Dict[str, Port] = {}
         self._dgram_seq = 0
-        self._dgram_offset = 0
-        self._dgram_stride = 1
         self._rng = RngStreams(seed).stream(f"{name}-loss")
         self.fragments_dropped = 0
         self.obs = DISABLED
@@ -213,22 +209,6 @@ class Switch:
             return
         dst.downlink.send(frag.wire_bytes, dst._arrive, frag)
 
-    def set_dgram_namespace(self, offset: int, stride: int) -> None:
-        """Partition datagram-id space across shard-local switches.
-
-        Sharded runs give each shard ``offset + k * stride`` so ids from
-        different shards never collide in a destination port's
-        reassembly table.  Ids are opaque reassembly keys — their values
-        never feed timing or fingerprints — so the default ``(0, 1)``
-        serial namespace and any shard namespace are interchangeable.
-        """
-        if stride < 1 or offset < 0 or offset >= stride:
-            raise ConfigError(
-                f"{self.name}: bad dgram namespace (offset={offset}, stride={stride})"
-            )
-        self._dgram_offset = offset
-        self._dgram_stride = stride
-
     def _next_dgram_id(self) -> int:
         self._dgram_seq += 1
-        return self._dgram_offset + self._dgram_seq * self._dgram_stride
+        return self._dgram_seq

@@ -90,11 +90,6 @@ class Observability:
         #: keys stay deterministic).
         self._task_spans: Dict[Any, int] = {}
 
-    def set_span_namespace(self, base: int) -> None:
-        """Start span ids at ``base`` — DES shards carve disjoint id
-        ranges so per-world spans merge without collisions."""
-        self._next_span = base
-
     # -- metrics ------------------------------------------------------------
 
     def count(self, key: str, n: int = 1) -> None:

@@ -102,10 +102,9 @@ def span_descendants(spans: Dict[int, Span], root: int) -> List[Span]:
 def _canonical_ids(spans: Dict[int, Span]) -> Dict[int, int]:
     """Renumber spans 1..N by *content*, not by mint order.
 
-    Raw span ids depend on interleaving (serial runs mint from one
-    counter; sharded runs carve per-world id bases), so byte-identical
-    exports need ids derived from what each span *is*: its times,
-    component, name, attributes, and — recursively — its parent's key.
+    Raw span ids depend on mint order, so byte-identical exports need
+    ids derived from what each span *is*: its times, component, name,
+    attributes, and — recursively — its parent's key.
     Two runs that simulate the same history therefore export the same
     ids regardless of how the spans were numbered at record time.
     """
@@ -141,8 +140,8 @@ def chrome_trace(obs, process_name: str = "repro-nfs") -> Dict[str, Any]:
 
     One pid, one tid per component (assigned in first-seen order over
     the canonical span ordering).  Span ids are canonically renumbered
-    (:func:`_canonical_ids`) and counter samples sorted, so a sharded
-    fleet exports the same bytes as its serial twin.
+    (:func:`_canonical_ids`) and counter samples sorted, so two runs
+    that simulate the same history export the same bytes.
     """
     spans = build_spans(obs.tracer)
     canonical = _canonical_ids(spans)

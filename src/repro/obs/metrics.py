@@ -148,56 +148,3 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-    # -- cross-process shipping (DES shard merge) ----------------------------
-
-    def dump_state(self) -> List[tuple]:
-        """Picklable rows a worker ships home; see :meth:`merge_state`."""
-        out: List[tuple] = []
-        for key, metric in self.items():
-            if metric.kind == "counter":
-                out.append((key, "counter", metric.value))
-            elif metric.kind == "gauge":
-                out.append((key, "gauge", metric.value, metric.max_value))
-            else:
-                out.append(
-                    (
-                        key,
-                        "histogram",
-                        metric.bounds,
-                        tuple(metric.counts),
-                        metric.count,
-                        metric.total,
-                    )
-                )
-        return out
-
-    def merge_state(self, state: Iterable[tuple]) -> None:
-        """Fold a :meth:`dump_state` payload in.
-
-        Counters and histograms add (commutative, so shard order never
-        matters for them); gauges join maxima and take the incoming
-        value — sound because fleet gauge keys are client-scoped, i.e.
-        single-writer per shard.
-        """
-        for row in state:
-            key, mkind = row[0], row[1]
-            if mkind == "counter":
-                self.counter(key).inc(row[2])
-            elif mkind == "gauge":
-                gauge = self.gauge(key)
-                gauge.value = row[2]
-                if row[3] > gauge.max_value:
-                    gauge.max_value = row[3]
-            elif mkind == "histogram":
-                hist = self.histogram(key, tuple(row[2]))
-                if hist.bounds != tuple(row[2]):
-                    raise TypeError(
-                        f"metric {key!r}: mismatched histogram bounds"
-                    )
-                for i, n in enumerate(row[3]):
-                    hist.counts[i] += n
-                hist.count += row[4]
-                hist.total += row[5]
-            else:
-                raise TypeError(f"metric {key!r}: unknown kind {mkind!r}")

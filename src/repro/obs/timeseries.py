@@ -10,7 +10,7 @@ bounded memory and without perturbing the simulation:
   sub-buckets per power of two), so the relative error is bounded by
   ``2**-subbucket_bits`` (~3% at the default of 5 bits) and two
   histograms with the same scheme merge by plain bucket addition —
-  across windows, across fleet clients, and across DES shards.
+  across windows and across fleet clients.
 * :class:`WindowedCounter` / :class:`WindowedGauge` /
   :class:`WindowedHistogram` — per-layer timelines keyed by the window
   index ``sim_now // window_ns`` (simulated time only: no wall clocks,
@@ -19,8 +19,9 @@ bounded memory and without perturbing the simulation:
 * :class:`TimelineRegistry` — a get-or-create store with a versioned,
   JSON-serialisable :meth:`~TimelineRegistry.snapshot` (schema
   ``repro-nfs/timeline@1``) and a deterministic
-  :meth:`~TimelineRegistry.merge_snapshot` used to fold shard-side
-  collections back into the hub's registry bit-identically.
+  :meth:`~TimelineRegistry.merge_snapshot`, through which
+  :meth:`~TimelineRegistry.from_snapshot` rebuilds a saved
+  ``timeline.json`` bit-identically.
 
 Everything here is integer/dict arithmetic updated inline by the
 instrumented code — recording never schedules events, draws randomness,
@@ -306,8 +307,8 @@ class WindowedGauge(_WindowedSeries):
     def absorb_windowed_gauge(
         self, rows: Iterable[Tuple[int, Union[int, float], Union[int, float]]]
     ) -> None:
-        # Gauge keys are single-writer by construction (client-scoped or
-        # hub-owned), so overlap only happens if that contract is broken;
+        # Gauge keys are single-writer by construction (client- or
+        # link-scoped), so overlap only happens if that contract is broken;
         # resolve it deterministically: incoming last wins, maxima join.
         windows = self.windows
         for wi, last, mx in rows:
@@ -454,7 +455,7 @@ class TimelineRegistry:
     def __len__(self) -> int:
         return len(self._series)
 
-    # -- snapshots / cross-shard merging ------------------------------------
+    # -- snapshots / merging -------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """The whole registry as a versioned JSON-serialisable dict."""
@@ -468,12 +469,12 @@ class TimelineRegistry:
         }
 
     def merge_snapshot(self, snap: Dict[str, Any]) -> None:
-        """Fold a snapshot in (shard results merged in shard order).
+        """Fold a snapshot in.
 
         Counters add, gauges join (single-writer keys by convention),
-        histogram windows merge bucket-wise — so merging every shard's
-        snapshot into the hub registry reproduces the serial timelines
-        bit-for-bit.
+        histogram windows merge bucket-wise — so merging snapshots of
+        registries that recorded disjoint series reproduces recording
+        everything in one registry, bit-for-bit.
         """
         if snap.get("schema") != TIMELINE_SCHEMA:
             raise ConfigError(

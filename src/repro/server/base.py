@@ -105,7 +105,7 @@ class NfsServerBase:
         self.reads_handled = 0
         self.bytes_served = 0
         self.obs = DISABLED
-        #: Cached timeline keys (per-server, hub-owned in sharded runs).
+        #: Cached timeline keys (per-server).
         self._ingest_series_key = f"server/{name}/ingest_bytes"
         self._busy_series_key = f"server/{name}/ingest_busy_ns"
         self.rpc = RpcServer(self.host, NFS_PORT, self.handle, nthreads, name=name)

@@ -244,59 +244,6 @@ class Simulator:
             self.events_processed += processed
         return self._now
 
-    def run_window(self, end: int) -> int:
-        """Process every event strictly before ``end``, then advance to ``end``.
-
-        The conservative parallel-DES building block: a shard runs the
-        half-open window ``[now, end)``, so events scheduled exactly at
-        ``end`` (the next window's opening edge, or a message injected
-        by another shard) stay queued.  Unlike :meth:`run`, the bound is
-        exclusive.
-        """
-        if self._running:
-            raise SimulationError("simulator is already running (reentrant run)")
-        self._running = True
-        queue = self._queue
-        heappop = heapq.heappop
-        processed = 0
-        try:
-            while queue and queue[0][0] < end:
-                entry = heappop(queue)
-                if len(entry) == 4:
-                    self._now = entry[0]
-                    processed += 1
-                    entry[2](*entry[3])
-                else:
-                    handle = entry[2]
-                    if handle.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    self._now = entry[0]
-                    processed += 1
-                    handle.fn(*handle.args)
-            if self._now < end:
-                self._now = end
-        finally:
-            self._running = False
-            self.events_processed += processed
-        return self._now
-
-    def next_event_time(self) -> Optional[int]:
-        """Timestamp of the earliest live event, or None when drained.
-
-        Pops cancelled heads as a side effect (they are dead anyway);
-        used by the shard synchroniser to skip empty lookahead windows.
-        """
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            if len(entry) == 3 and entry[2].cancelled:
-                heapq.heappop(queue)
-                self._cancelled -= 1
-                continue
-            return entry[0]
-        return None
-
     def run_for(self, duration: int) -> int:
         """Process events for ``duration`` nanoseconds of simulated time."""
         return self.run(until=self._now + duration)

@@ -8,7 +8,7 @@ bounded ring, which tests and debugging sessions can inspect.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional
+from typing import Any, Deque, Dict, List, NamedTuple, Optional
 
 from .core import Simulator
 
@@ -58,15 +58,6 @@ class Tracer:
                 continue
             out.append(rec)
         return out
-
-    def absorb(self, records: Iterable[TraceRecord]) -> None:
-        """Append another tracer's records (shard merge).
-
-        Records arrive as plain tuples after a pickle round-trip; they
-        are re-wrapped so downstream filters see :class:`TraceRecord`.
-        """
-        for rec in records:
-            self._records.append(TraceRecord(*rec))
 
     def clear(self) -> None:
         self._records.clear()

@@ -37,7 +37,7 @@ from ..sim import SamplingProfiler, Simulator
 from ..units import us
 from .spec import ClientSpec, ServerSpec, SwitchSpec
 
-__all__ = ["Topology", "ClientStack", "materialise_server"]
+__all__ = ["Topology", "ClientStack"]
 
 
 class ClientStack:
@@ -106,9 +106,6 @@ class ClientStack:
                 server_spec.config or _default_config(server_spec.kind),
             )
         else:
-            # In a sharded world the server object lives in the hub
-            # shard, so ``servers[i]`` may be None here; the mount
-            # target is named by the resolved spec either way.
             self.server = self.topology.servers[self.spec.server]
             self.nfs = NfsClient(
                 self.host,
@@ -213,7 +210,20 @@ class Topology:
         self.obs = attach_topology_if_active(self, observe=observe)
 
     def _build_server(self, spec: ServerSpec):
-        return materialise_server(self.sim, self.switch, spec)
+        """One server on the switch from a resolved spec; local specs
+        yield ``None`` (the client stack hosts an Ext2Fs instead)."""
+        if spec.is_local:
+            return None
+        config = spec.config or _default_config(spec.kind)
+        if spec.kind == "netapp":
+            net = spec.net or NetConfig.gigabit()
+            return NetappFiler(self.sim, self.switch, net, config)
+        if spec.kind == "linux":
+            net = spec.net or NetConfig.gigabit()
+            return LinuxNfsServer(self.sim, self.switch, net, config)
+        # linux-100: the same knfsd behind 100 Mbps Ethernet (§3.5).
+        net = spec.net or NetConfig.fast_ethernet()
+        return LinuxNfsServer(self.sim, self.switch, net, config)
 
     # -- convenience ---------------------------------------------------------
 
@@ -275,27 +285,6 @@ class Topology:
             self, workload, client=client, time_limit_ns=time_limit_ns
         )
         return result
-
-
-def materialise_server(sim: Simulator, switch: Switch, spec: ServerSpec):
-    """Build one server object on ``switch`` from a resolved spec.
-
-    Module-level so sharded worlds can attach servers to a hub shard's
-    switch without assembling a full :class:`Topology`.  Local specs
-    yield ``None`` (the client stack hosts an Ext2Fs instead).
-    """
-    if spec.is_local:
-        return None
-    config = spec.config or _default_config(spec.kind)
-    if spec.kind == "netapp":
-        net = spec.net or NetConfig.gigabit()
-        return NetappFiler(sim, switch, net, config)
-    if spec.kind == "linux":
-        net = spec.net or NetConfig.gigabit()
-        return LinuxNfsServer(sim, switch, net, config)
-    # linux-100: the same knfsd behind 100 Mbps Ethernet (§3.5).
-    net = spec.net or NetConfig.fast_ethernet()
-    return LinuxNfsServer(sim, switch, net, config)
 
 
 def _named_server_specs(specs: Sequence[ServerSpec]) -> List[ServerSpec]:

@@ -41,7 +41,6 @@ __all__ = [
     "FleetJobSpec",
     "FleetPointResult",
     "fleet_client_body",
-    "fleet_workload_for",
     "client_row",
     "server_rows",
     "reduce_fleet",
@@ -245,36 +244,9 @@ class FleetWorkload:
         return FleetResult(
             clients=clients,
             events_processed=sim.events_processed,
-            servers=_server_rows(topo),
+            servers=server_rows(topo),
             rows=rows,
         )
-
-
-def fleet_workload_for(spec: "FleetJobSpec", stack):
-    """The Workload instance one client of a :class:`FleetJobSpec` runs.
-
-    Module-level and spec-driven so shard workers instantiate exactly
-    what the serial fleet instantiates; the per-stack ``chunk_bytes``
-    override only applies to the default sequential writer, as it
-    always has.
-    """
-    from ..bench.workloads import get_workload
-
-    if spec.arrivals is not None:
-        return get_workload(
-            "open-loop", {"arrivals": spec.arrivals, "seed": spec.seed}
-        )
-    if spec.workload is not None:
-        name, params = spec.workload
-        return get_workload(name, dict(params))
-    return get_workload(
-        "sequential-write",
-        {
-            "file_bytes": spec.file_bytes,
-            "chunk_bytes": stack.spec.chunk_bytes or spec.chunk_bytes,
-            "do_fsync": spec.do_fsync,
-        },
-    )
 
 
 def fleet_client_body(stack, offset_ns: int, chunk_bytes: int, file_bytes: int, do_fsync: bool):
@@ -298,13 +270,13 @@ def fleet_client_body(stack, offset_ns: int, chunk_bytes: int, file_bytes: int, 
     return client_workload_body(stack, workload, offset_ns)
 
 
-def server_rows(servers, switch) -> List[Dict[str, Any]]:
-    """Per-server accounting rows from live server objects + switch."""
+def server_rows(topo: Topology) -> List[Dict[str, Any]]:
+    """Per-server accounting rows from a topology's live servers."""
     rows: List[Dict[str, Any]] = []
-    for server in servers:
+    for server in topo.servers:
         if server is None:
             continue
-        downlink = switch.port(server.name).downlink
+        downlink = topo.switch.port(server.name).downlink
         rows.append(
             {
                 "name": server.name,
@@ -317,10 +289,6 @@ def server_rows(servers, switch) -> List[Dict[str, Any]]:
             }
         )
     return rows
-
-
-def _server_rows(topo: Topology) -> List[Dict[str, Any]]:
-    return server_rows(topo.servers, topo.switch)
 
 
 # -- sweep integration --------------------------------------------------------
@@ -464,10 +432,9 @@ class FleetPointResult:
         the same spec must produce the same digest (the determinism
         contract).
 
-        ``events_processed`` is excluded: it counts engine dispatches,
-        not simulated behaviour, and a sharded run's window bookkeeping
-        legitimately dispatches a different number of callbacks while
-        producing bit-identical timings, traces and server accounting.
+        ``events_processed`` is left out: the scenario corpus and
+        ``perfbench/pins.json`` pin digests computed without it, so
+        adding it would move every pinned hash.
         """
         payload = self.to_payload()
         payload.pop("events_processed", None)
@@ -481,8 +448,8 @@ def _trace_sha(result: BenchmarkResult) -> str:
 
 
 def client_row(name: str, start_ns: int, end_ns: int, result: BenchmarkResult) -> Dict[str, Any]:
-    """One client's reduced row — shard workers build these locally so
-    the full latency trace never crosses the process boundary."""
+    """One client's reduced row: the latency trace travels as its p99
+    and checksum, so cached points stay small."""
     return {
         "name": name,
         "file_bytes": result.file_bytes,
@@ -514,21 +481,11 @@ def reduce_fleet(fleet: FleetResult) -> FleetPointResult:
     )
 
 
-def run_fleet_job(
-    spec: FleetJobSpec, shards: int = 1, transport: str = "process"
-) -> FleetPointResult:
+def run_fleet_job(spec: FleetJobSpec) -> FleetPointResult:
     """Build one pristine topology, run the fleet, reduce the result.
 
     Module-level so process-pool workers can unpickle a reference to it.
-    ``shards`` is an *execution* argument, deliberately not part of the
-    spec: a sharded run must reduce to the same point (and the same
-    :meth:`FleetPointResult.run_fingerprint`) as ``shards=1``, so it
-    must not perturb the spec's cache fingerprint either.
     """
-    if shards > 1:
-        from ..parallel.des import run_sharded_fleet
-
-        return run_sharded_fleet(spec, shards=shards, transport=transport).point
     topo = Topology(
         clients=spec.clients, servers=spec.servers, switch=spec.switch
     )

@@ -1,8 +1,8 @@
 """Arrival-time and size draws on named seeded streams.
 
 Pure functions: given the same :class:`ArrivalSpec` and the same
-stream, the returned draws are bit-identical — the foundation of the
-serial-vs-sharded fingerprint equality for open-loop fleets.
+stream, the returned draws are bit-identical — the foundation of
+open-loop fleets' replay fingerprints.
 
 Diurnal modulation uses Lewis–Shedler thinning against the peak rate:
 candidates are drawn from a homogeneous Poisson process at

@@ -6,9 +6,9 @@ whether or not the system keeps up — where is the knee?".
 
 :func:`plan_sessions` turns an :class:`ArrivalSpec` into a concrete
 per-client session plan (arrival offset, workload name, resolved
-params) using only the client's *name* and the fleet seed — so a shard
-that owns a client computes exactly the plan the serial run computes,
-with no cross-shard routing and no dependence on scheduling order.
+params) using only the client's *name* and the fleet seed — so a
+client's plan never depends on the rest of the fleet or on scheduling
+order.
 The :class:`OpenLoopWorkload` then releases sessions at their planned
 times regardless of how the previous ones are doing (the open-loop
 property), reporting offered vs completed bytes into the

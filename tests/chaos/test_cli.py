@@ -100,8 +100,6 @@ def test_fuzz_command_writes_json_report(tmp_path, capsys):
                 "--draws",
                 "2",
                 "--no-sanitize",
-                "--shards",
-                "0",
                 "--json",
                 json_path,
             ]

@@ -3,16 +3,19 @@
 Satellite contract: the fleet crash-during-COMMIT scenario proves the
 NFSv3 verifier-mismatch path under concurrency — every client sees the
 new boot verifier, re-dirties its unstable pages, and still reaches
-durability — and the run reduces bit-identically under ``--shards``.
+durability.
 """
+
+import os
 
 import pytest
 
-from repro.chaos import run_spec
+from repro.chaos import load_scenario, run_spec
 from repro.chaos.legacy import corpus_specs
 from repro.chaos.spec import (
     BedSpec,
     CheckSpec,
+    ClientEventSpec,
     LinkFaultSpec,
     ProbeSpec,
     ScenarioSpec,
@@ -21,6 +24,8 @@ from repro.chaos.spec import (
 )
 from repro.errors import ConfigError
 from repro.units import KIB, ms
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "..", "scenarios")
 
 
 def _inv(outcome, name):
@@ -33,14 +38,12 @@ def _inv(outcome, name):
 
 def test_fleet_crash_commit_redirties_every_client():
     spec = corpus_specs()["fleet-crash-commit"]
-    outcome = run_spec(spec, verify_determinism=False, shards=2)
+    outcome = run_spec(spec, verify_determinism=False)
     assert outcome.passed, [
         (i.name, i.detail) for i in outcome.invariants if not i.ok
     ]
     assert _inv(outcome, "files-complete-durable").ok
     assert _inv(outcome, "fleet-clients-redirtied").ok
-    # Sharded replay reduced to the serial fingerprint.
-    assert _inv(outcome, "serial-equivalence").ok
     # The crash really lost unstable state: the server restarted with a
     # new boot verifier and every client saw the mismatch.
     assert outcome.payload["boot_verf"] == [2]
@@ -51,10 +54,15 @@ def test_fleet_crash_commit_redirties_every_client():
 
 
 def test_fleet_starvation_routes_to_owning_client():
-    spec = corpus_specs()["fleet-starved-client"]
-    outcome = run_spec(spec, verify_determinism=False, shards=2)
+    pinned = load_scenario(os.path.join(CORPUS, "fleet-starved-client.json"))
+    spec = pinned.replace(
+        checks=pinned.checks + (CheckSpec("starvation-applied"),)
+    )
+    outcome = run_spec(spec, verify_determinism=False)
     assert outcome.passed
-    assert _inv(outcome, "serial-equivalence").ok
+    assert _inv(outcome, "starvation-applied").ok
+    # A check row reads the run; the payload keeps its pinned digest.
+    assert outcome.fingerprint == pinned.expect.fingerprint
 
 
 def _fleet_spec(**kwargs):
@@ -95,6 +103,30 @@ def test_server_event_index_bounds_checked():
         server_events=(ServerEventSpec(op="crash", at_ns=ms(1), server=3),)
     )
     with pytest.raises(ConfigError, match="targets server 3"):
+        run_spec(spec, verify_determinism=False)
+
+
+def test_fleet_client_event_index_bounds_checked():
+    spec = _fleet_spec(
+        client_events=(ClientEventSpec(client=7, start_ns=ms(1), end_ns=ms(2)),)
+    )
+    with pytest.raises(
+        ConfigError, match=r"targets client 7; scenario has 2 client\(s\)"
+    ):
+        run_spec(spec, verify_determinism=False)
+
+
+def test_single_bed_client_event_index_bounds_checked():
+    spec = ScenarioSpec(
+        name="t-single",
+        bed=BedSpec(target="netapp", client="stock"),
+        workload=WorkloadSpec(file_bytes=64 * KIB),
+        client_events=(ClientEventSpec(client=3, start_ns=ms(1), end_ns=ms(2)),),
+        checks=(CheckSpec("starvation-applied"),),
+    )
+    with pytest.raises(
+        ConfigError, match=r"targets client 3; scenario has 1 client\(s\)"
+    ):
         run_spec(spec, verify_determinism=False)
 
 

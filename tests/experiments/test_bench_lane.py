@@ -2,9 +2,8 @@
 
 The wall-clock numbers themselves are machine noise and never asserted;
 what CI guards is that the lane *runs*, that its simulated results hold
-(sharded fingerprints identical, cache replays perfectly), and that the
-JSON row it emits carries every field the perf trajectory compares
-across PRs.
+(fair fleet, cache replays perfectly), and that the JSON row it emits
+carries every field the perf trajectory compares across PRs.
 """
 
 import io
@@ -27,13 +26,14 @@ def test_bench_payload_quick_schema_and_invariants():
     assert headline["wall_s"] > 0
 
     fleet = payload["fleet"]
-    assert fleet["fingerprints_identical"] is True
+    assert set(fleet) == {
+        "clients", "file_kib", "aggregate_mbps", "jain", "events",
+        "wall_s", "nproc",
+    }
+    assert fleet["clients"] == 8
     assert fleet["jain"] >= 0.95
-    assert fleet["serial_wall_s"] > 0 and fleet["sharded_wall_s"] > 0
-    # The crossover escape hatch: a sub-2x speedup on a machine with
-    # fewer cores than shards must carry its explanation in-band.
-    if fleet["nproc"] < fleet["shards"] and fleet["speedup_x"] < 2.0:
-        assert "crossover_note" in fleet
+    assert fleet["events"] > 0
+    assert fleet["wall_s"] > 0
 
     cache = payload["cache"]
     assert cache["warm_hit_rate"] == 1.0
@@ -46,6 +46,6 @@ def test_run_bench_writes_json_row(tmp_path):
     code = run_bench(json_path=str(path), quick=True, out=out)
     assert code == 0
     text = out.getvalue()
-    assert "sim core" in text and "fingerprints identical" in text
+    assert "sim core" in text and "MBps aggregate" in text
     row = json.loads(path.read_text())
     assert set(row) >= {"sim_core", "headline", "fleet", "cache", "nproc"}

@@ -51,8 +51,8 @@ def test_cli_parser():
     assert args.scale == 8.0
     args = parser.parse_args(["list"])
     assert args.command == "list"
-    args = parser.parse_args(["fleet", "--clients", "4", "--shards", "2"])
-    assert args.shards == 2
+    args = parser.parse_args(["fleet", "--clients", "4"])
+    assert args.clients == 4
     args = parser.parse_args(["bench", "--quick", "--json", "out.json"])
     assert args.quick and args.json_path == "out.json"
 

@@ -222,29 +222,29 @@ def test_registry_snapshot_round_trip():
 
 
 def test_registry_merge_equals_serial_recording():
-    # Two "shards" record disjoint clients; merging their snapshots into
-    # a third registry must reproduce recording everything in one.
+    # Two registries record disjoint clients; merging their snapshots
+    # into a third must reproduce recording everything in one.
     serial = TimelineRegistry(window_ns=10 * MS)
-    shard_a = TimelineRegistry(window_ns=10 * MS)
-    shard_b = TimelineRegistry(window_ns=10 * MS)
-    for registry in (serial, shard_a):
+    part_a = TimelineRegistry(window_ns=10 * MS)
+    part_b = TimelineRegistry(window_ns=10 * MS)
+    for registry in (serial, part_a):
         registry.windowed_histogram("client0/lat").record_windowed_value(
             5 * MS, 50
         )
         registry.windowed_counter("shared/bytes").record_windowed_count(
             5 * MS, n=10
         )
-    for registry in (serial, shard_b):
+    for registry in (serial, part_b):
         registry.windowed_histogram("client1/lat").record_windowed_value(
             15 * MS, 60
         )
         registry.windowed_counter("shared/bytes").record_windowed_count(
             15 * MS, n=20
         )
-    hub = TimelineRegistry(window_ns=10 * MS)
-    hub.merge_snapshot(shard_a.snapshot())
-    hub.merge_snapshot(shard_b.snapshot())
-    assert hub.snapshot() == serial.snapshot()
+    merged = TimelineRegistry(window_ns=10 * MS)
+    merged.merge_snapshot(part_a.snapshot())
+    merged.merge_snapshot(part_b.snapshot())
+    assert merged.snapshot() == serial.snapshot()
 
 
 def test_registry_merge_rejects_mismatches():

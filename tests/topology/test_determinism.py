@@ -103,9 +103,8 @@ def test_run_fingerprint_is_sha256_of_payload():
     digest = point.run_fingerprint()
     assert len(digest) == 64
     int(digest, 16)  # hex
-    # Stable against payload key ordering; hashes the simulated outcome
-    # only — events_processed is engine bookkeeping, not behaviour, and
-    # sharded runs may dispatch differently while matching the digest.
+    # Stable against payload key ordering; leaves events_processed out,
+    # as the pinned corpus and benchmark digests were computed without it.
     import json
 
     payload = point.to_payload()

@@ -1,9 +1,9 @@
-"""Open-loop session planning and the fleet equivalence contracts.
+"""Open-loop session planning and the fleet replay contracts.
 
-Three properties carry the PR: per-client plans are pure functions of
-(spec, client, seed); an open-loop fleet reduces to the same
-fingerprint serial and sharded — with faults active; and observing a
-run changes nothing.
+Three properties carry the open-loop driver: per-client plans are pure
+functions of (spec, client, seed); an open-loop fleet replays to the
+same fingerprint — with faults active; and observing a run changes
+nothing.
 """
 
 import random
@@ -11,8 +11,13 @@ import random
 import pytest
 
 from repro.faults.link import DropFrames, Duplicate
-from repro.parallel.des import FleetFaults, run_sharded_fleet
-from repro.topology import FleetJobSpec, run_fleet_job
+from repro.topology import (
+    FleetJobSpec,
+    FleetWorkload,
+    Topology,
+    reduce_fleet,
+    run_fleet_job,
+)
 from repro.traffic import ArrivalSpec, MixEntry, SizeSpec, plan_sessions
 from repro.units import ms, us
 
@@ -80,39 +85,38 @@ def test_mix_weights_drive_workload_choice():
     assert dict(fsync.params)["transactions"] == 5
 
 
-# -- fleet equivalence --------------------------------------------------------
+# -- fleet replay -------------------------------------------------------------
 
 
-def _faults():
-    return FleetFaults(
-        downlink={
-            "client1": DropFrames([3, 7]),
-            "client0": Duplicate(
-                random.Random(5), probability=0.05, lag_ns=us(40)
-            ),
-        },
+def _faulted_point(spec):
+    """One open-loop fleet run with downlink faults on two clients."""
+    topo = Topology(clients=spec.clients, servers=spec.servers, switch=spec.switch)
+    topo.switch.install_fault("client1", downlink=DropFrames([3, 7]))
+    topo.switch.install_fault(
+        "client0",
+        downlink=Duplicate(random.Random(5), probability=0.05, lag_ns=us(40)),
     )
+    workload = FleetWorkload(
+        topo, spec.file_bytes, arrivals=spec.arrivals, seed=spec.seed
+    )
+    return reduce_fleet(workload.run(time_limit_ns=spec.time_limit_ns))
 
 
-def test_open_loop_serial_vs_sharded_fingerprints():
+def test_open_loop_fleet_replays():
+    from repro.parallel.executor import SweepExecutor
+
+    specs = [_fleet_spec(clients=2), _fleet_spec(clients=3)]
+    inline = [run_fleet_job(spec).run_fingerprint() for spec in specs]
+    pooled = [p.run_fingerprint() for p in SweepExecutor(jobs=2).map(specs)]
+    assert pooled == inline
+
+
+def test_open_loop_faulted_fleet_replays():
     spec = _fleet_spec()
-    serial = run_fleet_job(spec)
-    for shards in (2, 3):
-        out = run_sharded_fleet(spec, shards=shards, transport="inline")
-        assert out.point.run_fingerprint() == serial.run_fingerprint()
-
-
-def test_open_loop_serial_vs_sharded_under_faults():
-    spec = _fleet_spec()
-    serial = run_sharded_fleet(
-        spec, shards=1, transport="inline", faults=_faults()
-    )
-    sharded = run_sharded_fleet(
-        spec, shards=3, transport="inline", faults=_faults()
-    )
-    assert (
-        sharded.point.run_fingerprint() == serial.point.run_fingerprint()
-    )
+    faulted = _faulted_point(spec)
+    assert _faulted_point(spec).run_fingerprint() == faulted.run_fingerprint()
+    # The faults really changed the run.
+    assert faulted.run_fingerprint() != run_fleet_job(spec).run_fingerprint()
 
 
 def test_open_loop_seed_changes_fingerprint():
