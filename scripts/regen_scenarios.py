@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""Regenerate the ``scenarios/`` corpus from the legacy spec builders.
+"""Re-pin the ``scenarios/`` corpus from the files themselves.
 
-Each of the six scripted chaos scenarios is serialised to
-``scenarios/<name>.json`` with its expectations pinned from a fresh run
-(pass verdict, failed-invariant names, payload fingerprint).  Run this
-after any intentional simulator behaviour change, then review the
-fingerprint diffs like any other golden-file update:
+Every strict-replay file (top level and ``regressions/``) is loaded,
+run under the runtime sanitizers with the determinism replay, and
+written back with its ``expect`` block re-pinned from that run (pass
+verdict, failed-invariant names, payload fingerprint).  On an unchanged
+simulator this is a byte-for-byte no-op.  Run it after an intentional
+simulator behaviour change, then review the fingerprint diffs like any
+other golden-file update:
 
     PYTHONPATH=src python scripts/regen_scenarios.py [corpus-dir]
 """
@@ -17,17 +19,22 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.chaos import pin_expectations, run_spec, save_scenario  # noqa: E402
-from repro.chaos.legacy import corpus_specs  # noqa: E402
+from repro.chaos import (  # noqa: E402
+    corpus_files,
+    load_scenario,
+    pin_expectations,
+    run_spec,
+)
 
 
 def main(root: str) -> int:
-    for name, spec in corpus_specs().items():
+    for path in corpus_files(root):
+        spec = load_scenario(path)
         outcome = run_spec(spec, verify_determinism=True, sanitize=True)
-        pinned = pin_expectations(spec, outcome)
-        path = save_scenario(pinned, root)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(pin_expectations(spec, outcome).to_json())
         status = "pass" if outcome.passed else "FAIL"
-        print(f"{name:16} {status}  {outcome.fingerprint[:16]}  -> {path}")
+        print(f"{spec.name:20} {status}  {outcome.fingerprint[:16]}  -> {path}")
     return 0
 
 

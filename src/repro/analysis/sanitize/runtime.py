@@ -18,9 +18,10 @@ All observers are passive — no events, no randomness, no state changes
 — so a sanitized run is bit-for-bit identical to an unsanitized one
 (the chaos scenarios verify exactly this by comparing fingerprints).
 
-``repro-nfs faults --sanitize`` uses this to audit every fault scenario;
-the session's grouped findings become three extra scenario invariants
-(``sanitize-locks``, ``sanitize-races``, ``sanitize-invariants``).
+``repro-nfs run <file> --sanitize`` and ``repro-nfs corpus --sanitize``
+use this to audit scenario files; the session's grouped findings become
+three extra scenario invariants (``sanitize-locks``, ``sanitize-races``,
+``sanitize-invariants``).
 """
 
 from __future__ import annotations

@@ -24,20 +24,18 @@ from .spec import (
     load_scenario,
     loads_scenario,
 )
-from .checks import CHECKS, CheckContext, check_names, run_checks
-from .runner import failure_signature, run_spec
+from .checks import CHECKS, CheckContext, Invariant, check_names, run_checks
+from .runner import ScenarioOutcome, failure_signature, run_spec
 from .corpus import (
     CorpusReplay,
     corpus_files,
     pin_expectations,
-    replay_corpus,
     replay_file,
     save_regression,
     save_scenario,
 )
 from .shrink import ShrinkResult, shrink
 from .fuzz import FuzzFinding, FuzzReport, draw_spec, fuzz
-from .legacy import legacy_specs
 
 __all__ = [
     "SCENARIO_SCHEMA",
@@ -58,14 +56,15 @@ __all__ = [
     "loads_scenario",
     "CHECKS",
     "CheckContext",
+    "Invariant",
     "check_names",
     "run_checks",
+    "ScenarioOutcome",
     "failure_signature",
     "run_spec",
     "CorpusReplay",
     "corpus_files",
     "pin_expectations",
-    "replay_corpus",
     "replay_file",
     "save_regression",
     "save_scenario",
@@ -75,5 +74,4 @@ __all__ = [
     "FuzzReport",
     "draw_spec",
     "fuzz",
-    "legacy_specs",
 ]

@@ -2,24 +2,29 @@
 
 Each check is a small function over the finished run's
 :class:`CheckContext` — the payload, the live bed/topology, and any
-fault objects the runner installed — returning the same
-:class:`~repro.faults.scenarios.Invariant` rows the hand-written chaos
-scenarios produce, under the same names.  A ``scenario.json`` lists the
-checks it wants in order; unknown names fail at load time.
-
-The registry deliberately mirrors the six legacy scenarios' invariants
-one-for-one, so those scenarios re-express as corpus files without the
-verdict surface changing shape.
+fault objects the runner installed — returning :class:`Invariant` rows.
+A ``scenario.json`` lists the checks it wants in order; unknown names
+fail at load time.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ConfigError
-from ..faults.scenarios import Invariant, _stability_invariants
 
-__all__ = ["CheckContext", "CHECKS", "run_checks", "check_names"]
+__all__ = ["Invariant", "CheckContext", "CHECKS", "run_checks", "check_names"]
+
+
+@dataclass
+class Invariant:
+    """One audited verdict row: a name, whether it held, and a
+    diagnostic shown when it did not."""
+
+    name: str
+    ok: bool
+    detail: str = ""
 
 
 class CheckContext:
@@ -85,7 +90,7 @@ def run_checks(ctx: CheckContext) -> List[Invariant]:
     return rows
 
 
-# -- single-bed checks (the legacy scenario invariants) ------------------------
+# -- single-bed checks ---------------------------------------------------------
 
 
 @_check("loss-injected")
@@ -102,7 +107,27 @@ def _client_retransmitted(ctx, params):
 
 @_check("stability")
 def _stability(ctx, params):
-    return _stability_invariants(ctx.payload, ctx.file_bytes)
+    """The end-state every completed run must reach: all data durable."""
+    payload, file_bytes = ctx.payload, ctx.file_bytes
+    return [
+        Invariant(
+            "file-complete",
+            payload["server_file_size"] == file_bytes,
+            f"server size {payload['server_file_size']} != {file_bytes}",
+        ),
+        Invariant(
+            "all-data-stable",
+            payload["server_stable_bytes"] >= file_bytes
+            and payload["server_dirty_bytes"] == 0,
+            f"stable={payload['server_stable_bytes']} "
+            f"dirty={payload['server_dirty_bytes']}",
+        ),
+        Invariant(
+            "client-acked-stable",
+            payload["bytes_acked_stable"] >= file_bytes,
+            f"acked {payload['bytes_acked_stable']} < {file_bytes}",
+        ),
+    ]
 
 
 @_check("verifier-bumped")

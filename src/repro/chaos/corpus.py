@@ -19,26 +19,22 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
-from ..faults.scenarios import ScenarioOutcome
-from .runner import failure_signature, run_spec
+from .runner import ScenarioOutcome, failure_signature, run_spec
 from .spec import ExpectSpec, ScenarioSpec, load_scenario
 
 __all__ = [
-    "TEMPLATE_DIR",
     "REGRESSION_DIR",
     "CorpusReplay",
     "corpus_files",
     "replay_file",
-    "replay_corpus",
     "pin_expectations",
     "save_scenario",
     "save_regression",
 ]
 
-TEMPLATE_DIR = "templates"
 REGRESSION_DIR = "regressions"
 
 
@@ -132,22 +128,6 @@ def replay_file(
         outcome=outcome,
         mismatches=_check_expectations(spec, outcome),
     )
-
-
-def replay_corpus(
-    root: str,
-    env: Optional[Dict[str, str]] = None,
-    verify_determinism: bool = True,
-    sanitize: bool = False,
-) -> Iterable[CorpusReplay]:
-    """Replay every strict corpus file under ``root``, lazily."""
-    for path in corpus_files(root):
-        yield replay_file(
-            path,
-            env=env,
-            verify_determinism=verify_determinism,
-            sanitize=sanitize,
-        )
 
 
 def pin_expectations(

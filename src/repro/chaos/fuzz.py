@@ -25,11 +25,10 @@ import random  # noqa: DET105 - typing only; draws come from named RngStreams
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..faults.scenarios import ScenarioOutcome, _fingerprint
 from ..sim import RngStreams
 from ..units import ms
 from .corpus import save_regression
-from .runner import failure_signature, run_spec
+from .runner import ScenarioOutcome, _fingerprint, failure_signature, run_spec
 from .shrink import ShrinkResult, shrink
 from .spec import (
     BedSpec,

@@ -1,12 +1,11 @@
 """Materialise and run one :class:`~repro.chaos.spec.ScenarioSpec`.
 
-The runner is the declarative twin of the hand-written scenarios in
-:mod:`repro.faults.scenarios`: given a spec it assembles the same beds,
-arms the same fault objects, runs the same benchmark, and produces the
-same payload keys — so the six legacy scenarios re-expressed as corpus
-files fingerprint identically to their scripted originals.
+Given a spec the runner assembles the beds, arms the fault objects,
+runs the benchmark, and reduces the run to a JSON-safe payload whose
+SHA-256 is the scenario's fingerprint — the value every corpus file
+pins in its ``expect`` block.
 
-Three execution shapes, chosen by the spec:
+Four execution shapes, chosen by the spec:
 
 * **single** (``bed.clients == 1``): one :class:`TestBed`, link faults
   on the switch, server schedules, slot starvation, probes;
@@ -14,7 +13,9 @@ Three execution shapes, chosen by the spec:
   clients, armed the same way — link faults on the switch, slot
   starvation on the targeted client, server schedules;
 * **sweep** (``sweep.loss_rates``): the bed re-runs once per loss rate
-  (the monotone-loss shape).
+  (the monotone-loss shape);
+* **experiment**: a registered paper experiment replayed under pinned
+  knobs.
 
 Faults are rebuilt from scratch on every run with RNG streams derived
 from the seed by *name*, so a spec can be run, replayed, and shrunk
@@ -24,7 +25,10 @@ to every fuzz draw.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from contextlib import ExitStack
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..bench.runner import TestBed
@@ -38,21 +42,93 @@ from ..faults.link import (
     FaultChain,
     GilbertElliott,
 )
-from ..faults.scenarios import (
-    Invariant,
-    ScenarioOutcome,
-    _common_payload,
-    _fingerprint,
-    _sanitizer_invariants,
-    _server_file,
-    _trace_checksum,
-)
 from ..faults.server import ServerFaultSchedule
 from ..sim import RngStreams
-from .checks import CheckContext, run_checks
+from .checks import CheckContext, Invariant, run_checks
 from .spec import ScenarioSpec
 
-__all__ = ["run_spec", "failure_signature"]
+__all__ = ["ScenarioOutcome", "run_spec", "failure_signature"]
+
+
+@dataclass
+class ScenarioOutcome:
+    """Everything one scenario run produced."""
+
+    name: str
+    seed: int
+    payload: Dict[str, object]
+    invariants: List[Invariant] = field(default_factory=list)
+    fingerprint: str = ""
+    #: Observers of the beds the first run built (``observe=True`` only).
+    observabilities: Optional[List] = None
+
+    @property
+    def passed(self) -> bool:
+        return all(inv.ok for inv in self.invariants)
+
+
+def _fingerprint(payload: Dict[str, object]) -> str:
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+
+
+def _trace_checksum(result) -> str:
+    """Hash of the full write()-latency series: any divergence anywhere
+    in the run — not just in the totals — breaks the fingerprint."""
+    raw = ",".join(str(v) for v in result.trace.latencies_ns).encode()
+    return hashlib.sha256(raw).hexdigest()
+
+
+def _server_file(bed: TestBed):
+    return next(iter(bed.server.files.values()), None)
+
+
+def _common_payload(bed: TestBed, result) -> Dict[str, object]:
+    xs = bed.nfs.xprt.stats
+    cs = bed.nfs.stats
+    file = _server_file(bed)
+    return {
+        "write_elapsed_ns": result.write_elapsed_ns,
+        "flush_elapsed_ns": result.flush_elapsed_ns,
+        "close_elapsed_ns": result.close_elapsed_ns,
+        "trace_checksum": _trace_checksum(result),
+        "retransmits": xs.retransmits,
+        "major_timeouts": xs.major_timeouts,
+        "duplicate_replies": xs.duplicate_replies,
+        "jukebox_retries": xs.jukebox_retries,
+        "backlog_peak": xs.backlog_peak,
+        "writes_sent": cs.writes_sent,
+        "commits_sent": cs.commits_sent,
+        "bytes_acked_stable": cs.bytes_acked_stable,
+        "commit_verf_mismatches": cs.commit_verf_mismatches,
+        "server_drc_hits": bed.server.rpc.drc_hits,
+        "server_bytes_received": bed.server.bytes_received,
+        "server_file_size": file.size if file else 0,
+        "server_stable_bytes": file.stable_bytes if file else 0,
+        "server_dirty_bytes": file.dirty_bytes if file else 0,
+    }
+
+
+def _sanitizer_invariants(session) -> List[Invariant]:
+    """Fold a sanitize session's findings into scenario invariants.
+
+    Three rows — locks (ordering/deadlock/FIFO/depth), races (unlocked
+    request-list or index mutations), invariants (accounting, durability,
+    wait-queue FIFO) — each ok iff its group found nothing.
+    """
+    groups = session.grouped()
+    rows = []
+    for key in ("locks", "races", "invariants"):
+        findings = groups[key]
+        rows.append(
+            Invariant(
+                f"sanitize-{key}",
+                not findings,
+                "; ".join(str(f) for f in findings[:3]),
+            )
+        )
+    return rows
 
 
 def _mount(spec: ScenarioSpec) -> Optional[MountConfig]:
@@ -173,7 +249,8 @@ def _fault_extras(
     payload: Dict[str, Any], spec: ScenarioSpec, built: _BuiltFaults
 ) -> None:
     """Per-fault-kind counters, added only when that kind is armed, so a
-    fault-free spec's payload matches the legacy clean-run shape."""
+    fault-free spec's payload (and so its fingerprint) has no fault
+    keys."""
     if built.ge:
         payload["frames_dropped"] = sum(f.frames_dropped for f in built.ge)
         payload["loss_bursts"] = sum(f.bursts for f in built.ge)
@@ -496,13 +573,19 @@ def run_spec(
     seed: Optional[int] = None,
     verify_determinism: bool = True,
     sanitize: bool = False,
+    observe: bool = False,
 ) -> ScenarioOutcome:
     """Run one declarative scenario and audit its selected checks.
 
-    Mirrors :func:`repro.faults.scenarios.run_scenario`: with
-    ``verify_determinism`` the spec executes twice and both payload
-    fingerprints must match; with ``sanitize`` the first run executes
-    under the runtime sanitizers, adding the three ``sanitize-*`` rows.
+    With ``verify_determinism`` the spec executes twice and both payload
+    fingerprints must match — the repo's bit-for-bit reproducibility
+    contract extended to faulted runs.  With ``sanitize`` the first run
+    executes under the runtime sanitizers, adding the three
+    ``sanitize-*`` rows.  With ``observe`` (implied by an ``slo`` block)
+    it runs under an :func:`repro.obs.core.observed` session whose
+    per-bed observers land in ``outcome.observabilities``.  Only the
+    first run is instrumented; the replay is not, so a matching
+    fingerprint also proves neither observer perturbed the simulation.
     """
     seed = spec.seed if seed is None else seed
     san_session = None
@@ -512,10 +595,7 @@ def run_spec(
             from ..analysis.sanitize import sanitized
 
             san_session = stack.enter_context(sanitized())
-        if spec.slos:
-            # SLO gating needs timelines, so the first execution runs
-            # observed.  The determinism replay below stays unobserved,
-            # so its fingerprint match doubles as a pure-observer proof.
+        if observe or spec.slos:
             from ..obs.core import observed
 
             obs_sess = stack.enter_context(observed())
@@ -532,7 +612,7 @@ def run_spec(
                 Invariant(check.name, check.passed, check.measured)
                 for check in exp_result.comparison.checks
             )
-        if obs_sess is not None and obs_sess.observabilities:
+        if spec.slos and obs_sess.observabilities:
             from ..obs.slo import evaluate_slos
 
             report = evaluate_slos(
@@ -571,4 +651,5 @@ def run_spec(
         payload=payload,
         invariants=invariants,
         fingerprint=fingerprint,
+        observabilities=obs_sess.observabilities if observe else None,
     )

@@ -7,16 +7,15 @@ Examples::
     repro-nfs run all --quick
     repro-nfs run fig1 fig7 --scale 8
     repro-nfs run fig1 --full        # paper-size sweep (slow)
-    repro-nfs run scenarios/lossy-burst.json   # declarative chaos scenario
+    repro-nfs run scenarios/lossy-burst.json   # one chaos scenario file
+    repro-nfs run scenarios/jukebox.json --sanitize
     repro-nfs corpus                 # replay the whole scenario corpus
+    repro-nfs corpus --sanitize
     repro-nfs fuzz --seed 1 --draws 25 --save-dir scenarios
     repro-nfs fleet --clients 8 --target netapp
     repro-nfs fleet --clients 4 --target linux --sanitize
-    repro-nfs faults --list
-    repro-nfs faults --scenario lossy-burst --seed 1
-    repro-nfs faults --sanitize
     repro-nfs trace fig1                 # Chrome trace + metrics bundle
-    repro-nfs trace lossy-burst --out obs-lossy
+    repro-nfs trace scenarios/lossy-burst.json --out obs-lossy
     repro-nfs metrics fig1               # prometheus text to stdout
     repro-nfs report obs-fig1            # ASCII dashboard from a bundle
     repro-nfs report fleet --html fleet.html
@@ -264,63 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="reduced sizes for a fast smoke run",
     )
-    faults = sub.add_parser(
-        "faults",
-        help="run fault-injection scenarios and audit their invariants",
-    )
-    faults.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="scenario to run (repeatable; default: all)",
-    )
-    faults.add_argument(
-        "--seed", type=int, default=1, help="fault RNG seed (default 1)"
-    )
-    faults.add_argument(
-        "--list", action="store_true", help="list available scenarios"
-    )
-    faults.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the second run that checks bit-for-bit determinism",
-    )
-    faults.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="run under the runtime sanitizers (lock order, races, "
-        "invariants) and audit their findings as extra invariants",
-    )
-    faults.add_argument(
-        "--obs-dir",
-        default=None,
-        metavar="DIR",
-        help="re-run each scenario observed and write its trace/metrics/"
-        "profile bundle under DIR/<scenario>",
-    )
-    faults.add_argument(
-        "--force",
-        action="store_true",
-        help="with --obs-dir: overwrite existing bundles",
-    )
     trace = sub.add_parser(
         "trace",
-        help="run one experiment trace-point or fault scenario observed "
+        help="run one experiment trace-point or scenario file observed "
         "and export a Chrome-trace/metrics/profile bundle",
     )
     trace.add_argument(
         "name",
-        help="experiment id (fig1..fig7, tab1) or fault scenario name",
+        help="experiment id (fig1..fig7, tab1) or scenario .json path",
     )
     trace.add_argument(
         "--out",
         default=None,
         metavar="DIR",
-        help="bundle directory (default: obs-<name>)",
-    )
-    trace.add_argument(
-        "--seed", type=int, default=1, help="fault RNG seed (default 1)"
+        help="bundle directory (default: obs-<name or file stem>)",
     )
     trace.add_argument(
         "--force",
@@ -334,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "target",
-        help="bundle directory (containing timeline.json) or an "
-        "experiment id / fault scenario / trace-point name",
+        help="bundle directory (containing timeline.json), an "
+        "experiment id, or a scenario .json path",
     )
     report.add_argument(
         "--html",
@@ -344,9 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a standalone HTML dashboard to PATH instead of "
         "printing ASCII",
     )
-    report.add_argument(
-        "--seed", type=int, default=1, help="fault RNG seed (default 1)"
-    )
     metrics = sub.add_parser(
         "metrics",
         help="run one observed trace-point and print its metrics registry "
@@ -354,10 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics.add_argument(
         "name",
-        help="experiment id (fig1..fig7, tab1) or fault scenario name",
-    )
-    metrics.add_argument(
-        "--seed", type=int, default=1, help="fault RNG seed (default 1)"
+        help="experiment id (fig1..fig7, tab1) or scenario .json path",
     )
     lint = sub.add_parser(
         "lint",
@@ -497,11 +447,10 @@ def run_experiments(
 def run_trace_bundle(
     name: str,
     out_dir: Optional[str] = None,
-    seed: int = 1,
     force: bool = False,
     out=None,
 ) -> int:
-    """``repro-nfs trace``: one observed run, one bundle on disk."""
+    """``repro-nfs trace``: one observed run, one bundle on disk per bed."""
     import os
 
     from ..bench.report import trace_summary
@@ -510,8 +459,11 @@ def run_trace_bundle(
 
     if out is None:
         out = sys.stdout
-    out_dir = out_dir or f"obs-{name}"
-    observabilities, result, outcome = run_traced(name, seed=seed)
+    label = name
+    if name.endswith(".json"):
+        label = os.path.splitext(os.path.basename(name))[0]
+    out_dir = out_dir or f"obs-{label}"
+    observabilities, result, outcome = run_traced(name)
     if not observabilities:
         out.write(f"{name}: nothing observed\n")
         return 1
@@ -519,7 +471,7 @@ def run_trace_bundle(
     for i, obs in enumerate(observabilities):
         try:
             paths = write_bundle(
-                obs, out_dir, name, index=i if multi else None, force=force
+                obs, out_dir, label, index=i if multi else None, force=force
             )
         except ConfigError as err:
             out.write(f"error: {err}\n")
@@ -531,7 +483,8 @@ def run_trace_bundle(
     if outcome is not None:
         verdict = "PASS" if outcome.passed else "FAIL"
         out.write(
-            f"{verdict} {name} (fingerprint={outcome.fingerprint[:12]})\n"
+            f"{verdict} {outcome.name} "
+            f"(fingerprint={outcome.fingerprint[:12]})\n"
         )
         return 0 if outcome.passed else 1
     out.write(
@@ -541,14 +494,12 @@ def run_trace_bundle(
     return 0
 
 
-def run_report(
-    target: str, html: Optional[str] = None, seed: int = 1, out=None
-) -> int:
+def run_report(target: str, html: Optional[str] = None, out=None) -> int:
     """``repro-nfs report``: timeline/SLO dashboard for one run.
 
     ``target`` is either an existing obs bundle directory — the
     timelines and slo-report are loaded from ``timeline*.json`` /
-    ``slo*.json`` — or a trace-point / fault-scenario name, in which
+    ``slo*.json`` — or a trace-point name / scenario file, in which
     case the run happens here, observed, and is reported directly.
     """
     import json
@@ -583,7 +534,7 @@ def run_report(
     else:
         from ..obs.bundle import run_traced
 
-        observabilities, _, _ = run_traced(target, seed=seed)
+        observabilities, _, _ = run_traced(target)
         if not observabilities:
             out.write(f"{target}: nothing observed\n")
             return 1
@@ -608,14 +559,14 @@ def run_report(
     return 0
 
 
-def print_metrics(name: str, seed: int = 1, out=None) -> int:
+def print_metrics(name: str, out=None) -> int:
     """``repro-nfs metrics``: prometheus-style text on stdout."""
     from ..obs.export import prometheus_text
     from ..obs.bundle import run_traced
 
     if out is None:
         out = sys.stdout
-    observabilities, _, _ = run_traced(name, seed=seed)
+    observabilities, _, _ = run_traced(name)
     if not observabilities:
         out.write(f"{name}: nothing observed\n")
         return 1
@@ -662,7 +613,8 @@ def run_fleet(
     import os
     from contextlib import ExitStack
 
-    from ..faults.scenarios import Invariant, _sanitizer_invariants
+    from ..chaos import Invariant
+    from ..chaos.runner import _sanitizer_invariants
     from ..topology import FleetJobSpec, FleetWorkload, Topology
     from ..topology.fleet import reduce_fleet
     from ..units import KIB, us
@@ -862,77 +814,15 @@ def run_fleet(
     out.write(
         f"{verdict} fleet (fingerprint={fingerprint[:12]}, {elapsed:.1f} s wall)\n"
     )
-    for inv in invariants:
-        mark = "ok" if inv.ok else "VIOLATED"
-        detail = f" — {inv.detail}" if inv.detail and not inv.ok else ""
-        out.write(f"  [{mark:8s}] {inv.name}{detail}\n")
+    _write_invariants(invariants, out)
     return passed
-
-
-def run_fault_scenarios(
-    names: Optional[List[str]],
-    seed: int,
-    verify: bool = True,
-    sanitize: bool = False,
-    obs_dir: Optional[str] = None,
-    force: bool = False,
-    out=None,
-) -> bool:
-    from ..faults import SCENARIOS, run_scenario
-
-    if out is None:
-        out = sys.stdout
-    names = names or sorted(SCENARIOS)
-    all_passed = True
-    for name in names:
-        # Wall-clock reporting only, as above.
-        started = time.time()  # noqa: DET102
-        outcome = run_scenario(
-            name,
-            seed=seed,
-            verify_determinism=verify,
-            sanitize=sanitize,
-            observe=obs_dir is not None,
-        )
-        elapsed = time.time() - started  # noqa: DET102
-        if obs_dir is not None and outcome.observabilities:
-            import os
-
-            from ..errors import ConfigError
-            from ..obs.bundle import write_bundle
-
-            multi = len(outcome.observabilities) > 1
-            try:
-                for i, obs in enumerate(outcome.observabilities):
-                    for path in write_bundle(
-                        obs,
-                        os.path.join(obs_dir, name),
-                        name,
-                        index=i if multi else None,
-                        force=force,
-                    ):
-                        out.write(f"  wrote {path}\n")
-            except ConfigError as err:
-                out.write(f"  error: {err}\n")
-                all_passed = False
-        verdict = "PASS" if outcome.passed else "FAIL"
-        out.write(
-            f"{verdict} {name} (seed={seed}, "
-            f"fingerprint={outcome.fingerprint[:12]}, {elapsed:.1f} s wall)\n"
-        )
-        for inv in outcome.invariants:
-            mark = "ok" if inv.ok else "VIOLATED"
-            # Details are phrased as failure diagnostics; show them only
-            # when the invariant actually tripped.
-            detail = f" — {inv.detail}" if inv.detail and not inv.ok else ""
-            out.write(f"  [{mark:8s}] {inv.name}{detail}\n")
-        all_passed = all_passed and outcome.passed
-    return all_passed
 
 
 def _write_invariants(invariants, out) -> None:
     for inv in invariants:
         mark = "ok" if inv.ok else "VIOLATED"
+        # Details are phrased as failure diagnostics; show them only
+        # when the invariant actually tripped.
         detail = f" — {inv.detail}" if inv.detail and not inv.ok else ""
         out.write(f"  [{mark:8s}] {inv.name}{detail}\n")
 
@@ -1080,28 +970,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .bench import run_bench
 
         return run_bench(json_path=args.json_path, quick=args.quick)
-    if args.command == "faults":
-        from ..faults import SCENARIOS
-
-        if args.list:
-            for name in sorted(SCENARIOS):
-                print(f"{name:16s} {SCENARIOS[name].description}")
-            return 0
-        for name in args.scenario or []:
-            if name not in SCENARIOS:
-                parser.error(
-                    f"unknown scenario {name!r} "
-                    f"(expected one of {', '.join(sorted(SCENARIOS))})"
-                )
-        ok = run_fault_scenarios(
-            args.scenario,
-            seed=args.seed,
-            verify=not args.no_verify,
-            sanitize=args.sanitize,
-            obs_dir=args.obs_dir,
-            force=args.force,
-        )
-        return 0 if ok else 1
     if args.command == "corpus":
         ok = run_corpus(
             args.corpus_dir,
@@ -1121,13 +989,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 0 if ok else 1
     if args.command == "trace":
-        return run_trace_bundle(
-            args.name, out_dir=args.out, seed=args.seed, force=args.force
-        )
+        return run_trace_bundle(args.name, out_dir=args.out, force=args.force)
     if args.command == "report":
-        return run_report(args.target, html=args.html, seed=args.seed)
+        return run_report(args.target, html=args.html)
     if args.command == "metrics":
-        return print_metrics(args.name, seed=args.seed)
+        return print_metrics(args.name)
     if args.command == "lint":
         from ..analysis.sanitize.lint import fix_suppressions, run_lint
 

@@ -11,8 +11,9 @@ Three layers, matching where real NFS deployments hurt:
 
 Everything draws randomness from named :class:`repro.sim.RngStreams`
 streams, so a faulted run is exactly as reproducible as a clean one.
-:mod:`repro.faults.scenarios` packages full chaos scenarios with
-invariant checks (``python -m repro.experiments.cli faults``).
+Full chaos scenarios that arm these faults and audit invariants are
+``scenarios/*.json`` files run by :mod:`repro.chaos`
+(``repro-nfs run <file>``, ``repro-nfs corpus``).
 """
 
 from .client import SlotStarvation
@@ -24,7 +25,6 @@ from .link import (
     GilbertElliott,
     LinkFault,
 )
-from .scenarios import SCENARIOS, ScenarioOutcome, run_scenario, run_scenario_payload
 from .server import ServerFaultSchedule
 
 __all__ = [
@@ -36,8 +36,4 @@ __all__ = [
     "FaultChain",
     "ServerFaultSchedule",
     "SlotStarvation",
-    "SCENARIOS",
-    "ScenarioOutcome",
-    "run_scenario",
-    "run_scenario_payload",
 ]

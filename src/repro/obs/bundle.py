@@ -13,7 +13,9 @@ Each experiment id maps to a small single-bed *trace point* — a
 representative configuration observed end to end.  Figure sweeps run
 dozens of beds (some in worker processes where an observer could not
 follow); the trace point reruns one characteristic bed inline with
-tracing on, which is what a causal write-path trace is for.
+tracing on, which is what a causal write-path trace is for.  A
+``scenario.json`` path runs that scenario observed instead, one bundle
+per bed it builds.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .core import Observability, observed
 from .export import chrome_trace, flat_profile, prometheus_text, validate_chrome_trace
 from .slo import evaluate_slos
 
-__all__ = ["TRACE_POINTS", "run_traced", "write_bundle", "trace_names"]
+__all__ = ["TRACE_POINTS", "run_traced", "write_bundle"]
 
 #: Experiment id -> (TestBed kwargs, file_bytes) for the observed run.
 TRACE_POINTS: Dict[str, Tuple[Dict[str, object], int]] = {
@@ -48,22 +50,15 @@ TRACE_POINTS: Dict[str, Tuple[Dict[str, object], int]] = {
 }
 
 
-def trace_names() -> List[str]:
-    """Everything ``repro-nfs trace`` accepts: experiments + scenarios."""
-    from ..faults import SCENARIOS
+def run_traced(name: str):
+    """Run one observed trace-point or scenario file.
 
-    return sorted(TRACE_POINTS) + sorted(SCENARIOS)
-
-
-def run_traced(name: str, seed: int = 1):
-    """Run one observed trace-point or fault scenario.
-
-    Returns ``(observabilities, result, outcome)``: the per-bed
-    observers, the benchmark result for experiment trace points (else
-    None), and the scenario outcome for fault names (else None).
+    ``name`` is an experiment id from :data:`TRACE_POINTS` or a path to
+    a ``scenario.json``.  Returns ``(observabilities, result, outcome)``:
+    the per-bed observers, the benchmark result for experiment trace
+    points (else None), and the scenario outcome for scenario files
+    (else None).
     """
-    from ..faults import SCENARIOS, run_scenario
-
     if name in TRACE_POINTS:
         from ..bench.runner import TestBed
 
@@ -93,11 +88,14 @@ def run_traced(name: str, seed: int = 1):
         obs.profiler = bed.profiler
         obs.latency_trace = result.trace
         return session.observabilities, result, None
-    if name in SCENARIOS:
-        outcome = run_scenario(name, seed=seed, verify_determinism=True, observe=True)
+    if name.endswith(".json"):
+        from ..chaos import load_scenario, run_spec
+
+        outcome = run_spec(load_scenario(name), observe=True)
         return outcome.observabilities or [], None, outcome
     raise ConfigError(
-        f"unknown trace target {name!r} (expected one of {', '.join(trace_names())})"
+        f"unknown trace target {name!r} (expected one of "
+        f"{', '.join(sorted(TRACE_POINTS))}, or a scenario .json path)"
     )
 
 

@@ -1,14 +1,19 @@
 """Sanitized fault-scenario runs: clean, and perturbation-free."""
 
 import io
+import os
 
-from repro.experiments.cli import main as cli_main, run_fault_scenarios
-from repro.faults import run_scenario
+from repro.chaos import run_spec
+from repro.experiments.cli import main as cli_main, run_scenario_files
+
+from ..chaos import CORPUS, corpus_spec
+
+JUKEBOX = os.path.join(CORPUS, "jukebox.json")
 
 
 def test_sanitized_scenario_adds_passing_invariants():
-    outcome = run_scenario(
-        "jukebox", seed=1, verify_determinism=False, sanitize=True
+    outcome = run_spec(
+        corpus_spec("jukebox"), verify_determinism=False, sanitize=True
     )
     names = [inv.name for inv in outcome.invariants]
     assert "sanitize-locks" in names
@@ -19,38 +24,29 @@ def test_sanitized_scenario_adds_passing_invariants():
 
 def test_sanitizers_do_not_perturb_the_fingerprint():
     # The sanitized first run must fingerprint identically to both the
-    # unsanitized replay (checked inside run_scenario) and a fully
+    # unsanitized replay (checked inside run_spec) and a fully
     # unsanitized run (checked here).
-    sanitized_outcome = run_scenario(
-        "lossy-burst", seed=1, verify_determinism=True, sanitize=True
-    )
-    plain_outcome = run_scenario(
-        "lossy-burst", seed=1, verify_determinism=False, sanitize=False
-    )
+    spec = corpus_spec("lossy-burst")
+    sanitized_outcome = run_spec(spec, verify_determinism=True, sanitize=True)
+    plain_outcome = run_spec(spec, verify_determinism=False, sanitize=False)
     assert sanitized_outcome.passed
     assert sanitized_outcome.fingerprint == plain_outcome.fingerprint
 
 
 def test_unsanitized_scenario_has_no_sanitize_rows():
-    outcome = run_scenario("jukebox", seed=1, verify_determinism=False)
+    outcome = run_spec(corpus_spec("jukebox"), verify_determinism=False)
     assert not any(inv.name.startswith("sanitize-") for inv in outcome.invariants)
 
 
-def test_cli_faults_sanitize_flag():
+def test_cli_run_sanitize_flag():
     out = io.StringIO()
-    ok = run_fault_scenarios(
-        ["jukebox"], seed=1, verify=False, sanitize=True, out=out
-    )
-    assert ok
+    assert run_scenario_files([JUKEBOX], sanitize=True, out=out)
     text = out.getvalue()
     assert "sanitize-locks" in text
     assert "sanitize-races" in text
     assert "sanitize-invariants" in text
 
 
-def test_cli_faults_sanitize_end_to_end(capsys):
-    assert (
-        cli_main(["faults", "--scenario", "jukebox", "--no-verify", "--sanitize"])
-        == 0
-    )
+def test_cli_run_sanitize_end_to_end(capsys):
+    assert cli_main(["run", JUKEBOX, "--sanitize"]) == 0
     assert "sanitize-locks" in capsys.readouterr().out

@@ -1,8 +1,8 @@
-"""CLI exit-code gating for the chaos surface (and the legacy lock-in).
+"""CLI exit-code gating for the chaos surface.
 
-Satellite contract: ``repro-nfs faults``, ``fleet``, ``run
-<scenario.json>``, ``corpus``, and ``fuzz`` all exit non-zero on any
-invariant failure or expectation drift, so CI can gate on them.
+``repro-nfs fleet``, ``run <scenario.json>``, ``corpus``, and ``fuzz``
+all exit non-zero on any invariant failure or expectation drift, so CI
+can gate on them.
 """
 
 import io
@@ -12,20 +12,16 @@ import os
 import pytest
 
 from repro.chaos import pin_expectations, run_spec, save_scenario
-from repro.chaos.legacy import legacy_specs
 from repro.chaos.spec import ExpectSpec
-from repro.experiments.cli import (
-    main,
-    run_corpus,
-    run_fault_scenarios,
-    run_scenario_files,
-)
+from repro.experiments.cli import main, run_corpus, run_scenario_files
+
+from . import corpus_spec
 
 REPO = os.path.join(os.path.dirname(__file__), "..", "..")
 
 
 def _pinned(name, tmp_path, **replace):
-    spec = legacy_specs()[name]
+    spec = corpus_spec(name)
     if replace:
         spec = spec.replace(**replace)
     outcome = run_spec(spec, verify_determinism=False)
@@ -79,7 +75,7 @@ def test_corpus_command_gates_on_drift(tmp_path):
     assert "1 scenario(s) replayed" in out.getvalue()
 
     # Tamper a pinned verdict: the same corpus must now fail.
-    spec = legacy_specs()["jukebox"]
+    spec = corpus_spec("jukebox")
     tampered = spec.replace(
         expect=ExpectSpec(passed=False, failed=("stability",), fingerprint=None)
     )
@@ -119,28 +115,10 @@ def test_fuzz_rejects_bad_draws():
         main(["fuzz", "--draws", "0"])
 
 
-def test_faults_exits_nonzero_on_invariant_failure(monkeypatch):
-    """Lock in the satellite: a failing scripted scenario must surface
-    as a False return (exit 1 in main)."""
-    from repro.faults import scenarios as sc
-
-    def rigged(seed):
-        return {"seed": seed}, [sc.Invariant("rigged", False, "forced")]
-
-    monkeypatch.setitem(
-        sc.SCENARIOS, "rigged", sc.Scenario("rigged", "always fails", rigged)
-    )
-    out = io.StringIO()
-    assert (
-        run_fault_scenarios(["rigged"], seed=1, verify=False, out=out) is False
-    )
-    assert main(["faults", "--scenario", "rigged", "--no-verify"]) == 1
-
-
 def test_run_mixes_scenarios_and_experiments_gate_together(tmp_path):
     """`run` accepts .json paths alongside experiment ids; a failing
     scenario fails the combined run even if experiments pass."""
-    spec = legacy_specs()["jukebox"].replace(
+    spec = corpus_spec("jukebox").replace(
         expect=ExpectSpec(passed=False, failed=("stability",), fingerprint=None)
     )
     path = save_scenario(spec, str(tmp_path))

@@ -14,10 +14,16 @@ from repro.chaos import (
     save_regression,
     save_scenario,
 )
-from repro.chaos.legacy import corpus_specs, legacy_specs
 from repro.errors import ConfigError
 
-CORPUS = os.path.join(os.path.dirname(__file__), "..", "..", "scenarios")
+from . import CORPUS, corpus_spec
+
+#: Every strict corpus file but the Figure 1 sweep, which has its own test.
+CHAOS_FILES = [
+    path
+    for path in corpus_files(CORPUS)
+    if os.path.basename(path) != "fig1-throughput.json"
+]
 
 
 def test_corpus_discovery_excludes_templates(tmp_path):
@@ -40,26 +46,8 @@ def test_missing_corpus_is_config_error(tmp_path):
         corpus_files(str(tmp_path / "nowhere"))
 
 
-def test_checked_in_corpus_covers_every_builder():
-    files = {
-        os.path.splitext(os.path.basename(p))[0]
-        for p in corpus_files(CORPUS, include_regressions=False)
-    }
-    assert set(corpus_specs()) <= files
-
-
-def test_checked_in_files_match_their_builders():
-    """scenarios/*.json must be exactly what regen_scenarios.py writes
-    (modulo the pinned expect block, which the builders do not carry)."""
-    for name, spec in corpus_specs().items():
-        on_disk = load_scenario(os.path.join(CORPUS, f"{name}.json"))
-        assert on_disk.replace(expect=spec.expect) == spec, name
-        assert on_disk.expect.passed is True
-        assert on_disk.expect.fingerprint
-
-
 def test_replay_detects_fingerprint_drift(tmp_path):
-    spec = legacy_specs()["slot-starvation"]
+    spec = corpus_spec("slot-starvation")
     outcome = run_spec(spec, verify_determinism=False)
     pinned = pin_expectations(spec, outcome)
     tampered = pinned.replace(
@@ -77,7 +65,7 @@ def test_replay_detects_fingerprint_drift(tmp_path):
 
 
 def test_replay_detects_verdict_drift(tmp_path):
-    spec = legacy_specs()["slot-starvation"]
+    spec = corpus_spec("slot-starvation")
     outcome = run_spec(spec, verify_determinism=False)
     pinned = pin_expectations(spec, outcome)
     tampered = pinned.replace(
@@ -96,7 +84,7 @@ def test_replay_detects_verdict_drift(tmp_path):
 
 def test_unpinned_scenario_gates_on_its_own_verdict(tmp_path):
     """A file with no expect block is still a CI gate: the run must pass."""
-    spec = legacy_specs()["slot-starvation"]
+    spec = corpus_spec("slot-starvation")
     path = save_scenario(spec, str(tmp_path))
     replay = replay_file(path, verify_determinism=False)
     assert replay.ok  # no expectations to violate...
@@ -114,7 +102,7 @@ def test_unpinned_scenario_gates_on_its_own_verdict(tmp_path):
 
 
 def test_save_regression_lands_in_subdir_with_provenance(tmp_path):
-    spec = legacy_specs()["jukebox"]
+    spec = corpus_spec("jukebox")
     outcome = run_spec(spec, verify_determinism=False)
     path = save_regression(
         spec, outcome, str(tmp_path), provenance=(("fuzz_seed", 9),)
@@ -127,17 +115,26 @@ def test_save_regression_lands_in_subdir_with_provenance(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name", ["fleet-crash-commit", "fleet-starved-client"]
+    "path",
+    CHAOS_FILES,
+    ids=[os.path.splitext(os.path.basename(p))[0] for p in CHAOS_FILES],
 )
-def test_fleet_corpus_scenarios_replay_strictly(name):
-    """The fleet scenarios exist only declaratively (no scripted twin),
-    so their pinned expectations are replayed here rather than in the
-    equivalence tests."""
-    replay = replay_file(
-        os.path.join(CORPUS, f"{name}.json"), verify_determinism=False
-    )
+def test_corpus_file_replays_strictly(path):
+    """Every pinned chaos file still passes, fingerprints as pinned, and
+    replays bit for bit."""
+    replay = replay_file(path, verify_determinism=True)
     assert replay.ok, replay.mismatches
     assert replay.outcome.passed
+    assert replay.spec.expect.fingerprint
+
+
+def test_payload_is_seed_sensitive_and_repeatable():
+    spec = corpus_spec("lossy-burst")
+    one = run_spec(spec, seed=1, verify_determinism=False)
+    again = run_spec(spec, seed=1, verify_determinism=False)
+    other = run_spec(spec, seed=9, verify_determinism=False)
+    assert one.payload == again.payload
+    assert one.fingerprint != other.fingerprint
 
 
 def test_corpus_files_are_canonical_json():

@@ -6,10 +6,11 @@ import pytest
 
 from repro.chaos import fuzz, load_scenario
 from repro.chaos.fuzz import draw_spec
-from repro.chaos.legacy import legacy_specs
 from repro.chaos.schema import SCENARIO_SCHEMA, validate
 from repro.chaos.spec import ScenarioSpec
 from repro.sim import RngStreams
+
+from . import corpus_spec
 
 DRAWS = 4  # enough to cover single-client and fleet shapes at seed 7
 
@@ -46,7 +47,7 @@ def test_drawn_specs_serialize_and_validate():
 
 def test_finding_is_shrunk_and_saved_as_regression(tmp_path, monkeypatch):
     """A violating draw must be shrunk and auto-saved with provenance."""
-    base = legacy_specs()["server-restart"]
+    base = corpus_spec("server-restart")
     # Expecting the run to fail 'verifier-bumped' (expected=3, actual 2)
     # makes a deterministic, genuinely failing draw.
     rigged = base.replace(

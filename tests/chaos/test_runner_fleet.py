@@ -11,7 +11,6 @@ import os
 import pytest
 
 from repro.chaos import load_scenario, run_spec
-from repro.chaos.legacy import corpus_specs
 from repro.chaos.spec import (
     BedSpec,
     CheckSpec,
@@ -25,7 +24,7 @@ from repro.chaos.spec import (
 from repro.errors import ConfigError
 from repro.units import KIB, ms
 
-CORPUS = os.path.join(os.path.dirname(__file__), "..", "..", "scenarios")
+from . import CORPUS, corpus_spec
 
 
 def _inv(outcome, name):
@@ -37,7 +36,7 @@ def _inv(outcome, name):
 
 
 def test_fleet_crash_commit_redirties_every_client():
-    spec = corpus_specs()["fleet-crash-commit"]
+    spec = corpus_spec("fleet-crash-commit")
     outcome = run_spec(spec, verify_determinism=False)
     assert outcome.passed, [
         (i.name, i.detail) for i in outcome.invariants if not i.ok

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.chaos.legacy import legacy_specs
 from repro.chaos.shrink import shrink
 from repro.chaos.spec import BedSpec
 from repro.errors import ConfigError
+
+from . import corpus_spec
 
 
 def crash_oracle(spec):
@@ -16,7 +17,7 @@ def crash_oracle(spec):
 
 
 def test_shrinks_to_single_event_minimal_reproducer():
-    spec = legacy_specs()["server-restart"]
+    spec = corpus_spec("server-restart")
     result = shrink(spec, crash_oracle)
     # Only the crash event is load-bearing for this oracle: the restart,
     # the probe, and all but one chunk of the file must be gone.
@@ -29,7 +30,7 @@ def test_shrinks_to_single_event_minimal_reproducer():
 
 
 def test_shrink_is_deterministic():
-    spec = legacy_specs()["server-restart"]
+    spec = corpus_spec("server-restart")
     first = shrink(spec, crash_oracle)
     second = shrink(spec, crash_oracle)
     assert first.spec == second.spec
@@ -38,7 +39,7 @@ def test_shrink_is_deterministic():
 
 
 def test_halved_durations_survive_when_load_bearing():
-    spec = legacy_specs()["server-restart"]
+    spec = corpus_spec("server-restart")
 
     def late_crash_oracle(candidate):
         # Fails only while the crash happens at its original time, so
@@ -54,13 +55,13 @@ def test_halved_durations_survive_when_load_bearing():
 
 
 def test_passing_spec_is_a_usage_error():
-    spec = legacy_specs()["lossy-burst"]
+    spec = corpus_spec("lossy-burst")
     with pytest.raises(ConfigError, match="passing scenario"):
         shrink(spec, lambda s: ())
 
 
 def test_max_attempts_bounds_oracle_invocations():
-    spec = legacy_specs()["server-restart"]
+    spec = corpus_spec("server-restart")
     calls = []
 
     def counting_oracle(candidate):
@@ -76,7 +77,7 @@ def test_max_attempts_bounds_oracle_invocations():
 
 
 def test_oracle_config_errors_skip_candidate():
-    spec = legacy_specs()["server-restart"]
+    spec = corpus_spec("server-restart")
 
     def fragile_oracle(candidate):
         # Pretend any candidate without a restart is unbuildable; the
@@ -91,7 +92,7 @@ def test_oracle_config_errors_skip_candidate():
 
 
 def test_client_shedding_halves_fleet():
-    base = legacy_specs()["server-restart"]
+    base = corpus_spec("server-restart")
     fleet = base.replace(
         bed=BedSpec(
             target=base.bed.target,

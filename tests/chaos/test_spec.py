@@ -1,9 +1,10 @@
 """ScenarioSpec round-trips and field validation."""
 
+import os
+
 import pytest
 
-from repro.chaos import loads_scenario
-from repro.chaos.legacy import corpus_specs
+from repro.chaos import corpus_files, loads_scenario
 from repro.chaos.spec import (
     BedSpec,
     ClientEventSpec,
@@ -15,10 +16,17 @@ from repro.chaos.spec import (
 from repro.errors import ConfigError
 from repro.units import ms
 
+from . import CORPUS, corpus_spec
 
-@pytest.mark.parametrize("name", sorted(corpus_specs()))
+CORPUS_NAMES = [
+    os.path.splitext(os.path.basename(path))[0]
+    for path in corpus_files(CORPUS, include_regressions=False)
+]
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_every_corpus_spec_round_trips_through_json(name):
-    spec = corpus_specs()[name]
+    spec = corpus_spec(name)
     assert loads_scenario(spec.to_json()) == spec
 
 
@@ -89,7 +97,7 @@ def test_workload_expect_validated():
 
 
 def test_replace_returns_new_spec():
-    spec = corpus_specs()["lossy-burst"]
+    spec = corpus_spec("lossy-burst")
     bigger = spec.replace(workload=spec.workload)
     assert bigger == spec
     shrunk = spec.replace(link_faults=spec.link_faults[:1])
@@ -98,7 +106,7 @@ def test_replace_returns_new_spec():
 
 
 def test_fault_count_counts_every_schedule_entry():
-    spec = corpus_specs()["server-restart"]
+    spec = corpus_spec("server-restart")
     assert spec.fault_count() == len(spec.server_events)
 
 

@@ -1,36 +1,39 @@
-"""End-to-end fault scenarios and the harness around them."""
+"""End-to-end fault scenarios, run from the pinned ``scenarios/`` corpus."""
 
 import io
+import os
 
 import pytest
 
+from repro.chaos import corpus_files, load_scenario, run_spec
 from repro.errors import ConfigError
-from repro.faults import (
-    SCENARIOS,
-    ServerFaultSchedule,
-    SlotStarvation,
-    run_scenario,
-    run_scenario_payload,
-)
-from repro.experiments.cli import main, run_fault_scenarios
-from repro.sim import Simulator
-from repro.units import ms
+from repro.experiments.cli import main, run_scenario_files
+
+from ..chaos import CORPUS, corpus_spec
+
+FAULT_SCENARIOS = {
+    "lossy-burst",
+    "server-restart",
+    "soft-timeout",
+    "jukebox",
+    "slot-starvation",
+    "monotone-loss",
+}
 
 
 def test_registry_has_the_full_scenario_suite():
-    assert set(SCENARIOS) == {
-        "lossy-burst",
-        "server-restart",
-        "soft-timeout",
-        "jukebox",
-        "slot-starvation",
-        "monotone-loss",
+    # The corpus directory is the scenario registry: losing a file must
+    # fail here, not silently shrink the strict replay's parametrisation.
+    specs = {
+        spec.name: spec
+        for spec in map(load_scenario, corpus_files(CORPUS))
     }
-    assert all(SCENARIOS[name].description for name in SCENARIOS)
+    assert FAULT_SCENARIOS <= set(specs)
+    assert all(specs[name].description for name in FAULT_SCENARIOS)
 
 
 def test_jukebox_scenario_passes():
-    outcome = run_scenario("jukebox", seed=1, verify_determinism=False)
+    outcome = run_spec(corpus_spec("jukebox"), verify_determinism=False)
     assert outcome.passed
     names = {inv.name for inv in outcome.invariants}
     assert "jukebox-injected" in names
@@ -38,7 +41,7 @@ def test_jukebox_scenario_passes():
 
 
 def test_soft_timeout_scenario_surfaces_eio():
-    outcome = run_scenario("soft-timeout", seed=1, verify_determinism=False)
+    outcome = run_spec(corpus_spec("soft-timeout"), verify_determinism=False)
     assert outcome.passed
     by_name = {inv.name: inv for inv in outcome.invariants}
     assert by_name["eio-surfaced"].ok
@@ -46,66 +49,28 @@ def test_soft_timeout_scenario_surfaces_eio():
 
 
 def test_determinism_invariant_appended_when_verifying():
-    outcome = run_scenario("slot-starvation", seed=2, verify_determinism=True)
+    outcome = run_spec(
+        corpus_spec("slot-starvation"), seed=2, verify_determinism=True
+    )
     assert outcome.passed
     by_name = {inv.name: inv for inv in outcome.invariants}
     assert by_name["deterministic"].ok
 
 
-def test_payload_is_seed_sensitive_and_repeatable():
-    one = run_scenario_payload("lossy-burst", seed=1)
-    again = run_scenario_payload("lossy-burst", seed=1)
-    other = run_scenario_payload("lossy-burst", seed=9)
-    assert one == again
-    assert one["fingerprint"] != other["fingerprint"]
-
-
 def test_unknown_scenario_rejected():
-    with pytest.raises(ConfigError):
-        run_scenario("no-such-chaos")
-    with pytest.raises(ConfigError):
-        run_scenario_payload("no-such-chaos")
+    with pytest.raises(ConfigError, match="cannot read scenario"):
+        load_scenario(os.path.join(CORPUS, "no-such-chaos.json"))
 
 
 def test_cli_runner_prints_verdicts():
     out = io.StringIO()
-    ok = run_fault_scenarios(["jukebox"], seed=1, verify=False, out=out)
+    ok = run_scenario_files([os.path.join(CORPUS, "jukebox.json")], out=out)
     assert ok
     text = out.getvalue()
     assert text.startswith("PASS jukebox")
     assert "[ok      ] jukebox-injected" in text
 
 
-def test_cli_faults_list(capsys):
-    assert main(["faults", "--list"]) == 0
-    captured = capsys.readouterr().out
-    for name in SCENARIOS:
-        assert name in captured
-
-
 def test_cli_rejects_unknown_scenario():
-    with pytest.raises(SystemExit):
-        main(["faults", "--scenario", "bogus"])
-
-
-def test_schedule_rejects_empty_windows():
-    class _Server:
-        sim = Simulator()
-
-        @staticmethod
-        def pause():
-            raise AssertionError("must not schedule")
-
-    schedule = ServerFaultSchedule(_Server())
-    with pytest.raises(ConfigError):
-        schedule.pause_between(ms(5), ms(5))
-    with pytest.raises(ConfigError):
-        schedule.jukebox_between(ms(10), ms(2))
-
-
-def test_slot_starvation_rejects_bad_config():
-    sim = Simulator()
-    with pytest.raises(ConfigError):
-        SlotStarvation(sim, None, ms(2), ms(1))
-    with pytest.raises(ConfigError):
-        SlotStarvation(sim, None, ms(1), ms(2), slots=0)
+    with pytest.raises(ConfigError, match="cannot read scenario"):
+        main(["run", "bogus.json"])

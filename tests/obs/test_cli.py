@@ -7,14 +7,25 @@ import os
 import pytest
 
 from repro.experiments.cli import main
-from repro.obs.bundle import TRACE_POINTS, run_traced, trace_names, write_bundle
+from repro.obs.bundle import TRACE_POINTS, run_traced, write_bundle
 from repro.obs.export import validate_chrome_trace
 
+from ..chaos import CORPUS
 
-def test_trace_names_cover_experiments_and_scenarios():
-    names = trace_names()
-    assert "fig1" in names and "fig7" in names and "tab1" in names
-    assert "lossy-burst" in names
+
+def test_trace_cli_runs_scenario_file(tmp_path, capsys):
+    out_dir = tmp_path / "bundle"
+    rc = main(["trace", os.path.join(CORPUS, "jukebox.json"), "--out", str(out_dir)])
+    assert rc == 0
+    assert "PASS jukebox" in capsys.readouterr().out
+    assert sorted(os.listdir(out_dir)) == [
+        "metrics.prom",
+        "profile.txt",
+        "slo.json",
+        "timeline.json",
+        "trace.json",
+    ]
+    assert "repro_rpc_jukebox_retries" in (out_dir / "metrics.prom").read_text()
 
 
 def test_run_traced_rejects_unknown_name():

@@ -2,10 +2,9 @@
 
 An observed run must be bit-for-bit identical to an unobserved one —
 same event count, same full latency series, same phase timings.  This
-is the determinism-replay proof the tentpole requires, checked for the
-Figure 1 and Figure 7 configurations and (via the scenario runner's
-``deterministic`` invariant, whose replay runs unobserved) for a chaos
-scenario.
+is the determinism-replay proof, checked for the Figure 1 and Figure 7
+configurations and (via the scenario runner's ``deterministic``
+invariant, whose replay runs unobserved) for a chaos scenario.
 """
 
 import hashlib
@@ -13,8 +12,10 @@ import hashlib
 import pytest
 
 from repro.bench.runner import TestBed
-from repro.faults import run_scenario
+from repro.chaos import run_spec
 from repro.units import MIB
+
+from ..chaos import corpus_spec
 
 
 def _fingerprint(target: str, client: str, file_bytes: int, observe: bool):
@@ -44,11 +45,9 @@ def test_observed_run_is_bit_identical(target, client):
 
 
 def test_observed_chaos_scenario_is_bit_identical():
-    # run_scenario's replay runs WITHOUT the observer; a matching
+    # run_spec's replay runs WITHOUT the observer; a matching
     # fingerprint therefore proves the observed first run unperturbed.
-    outcome = run_scenario(
-        "jukebox", seed=1, verify_determinism=True, observe=True
-    )
+    outcome = run_spec(corpus_spec("jukebox"), observe=True)
     assert outcome.passed, [i for i in outcome.invariants if not i.ok]
     det = next(i for i in outcome.invariants if i.name == "deterministic")
     assert det.ok

@@ -10,12 +10,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from repro.cache import ResultCache
+from repro.chaos import run_spec
 from repro.config import FilerConfig, MountConfig, NetConfig
 from repro.experiments import ExecutionContext
 from repro.experiments.figure1 import run_sweep, sweep_specs
-from repro.faults import run_scenario_payload
 from repro.parallel import JobSpec, PointResult, SweepExecutor
 from repro.units import MIB, ms
+
+from ..chaos import corpus_spec
 
 SPECS = [
     JobSpec(target=target, client=client, file_bytes=size)
@@ -121,15 +123,14 @@ def test_faulted_runs_bit_identical_across_modes(tmp_path):
 
 def test_fault_scenario_identical_in_process_and_in_worker():
     """A chaos scenario (burst loss + server checkpoint behaviour) is a
-    pure function of (name, seed), wherever it runs."""
-    first = run_scenario_payload("lossy-burst", seed=5)
-    second = run_scenario_payload("lossy-burst", seed=5)
+    pure function of (spec, seed), wherever it runs."""
+    spec = corpus_spec("lossy-burst")
+    first = run_spec(spec, seed=5, verify_determinism=False)
+    second = run_spec(spec, seed=5, verify_determinism=False)
     with ProcessPoolExecutor(max_workers=2) as pool:
-        remote = list(
-            pool.map(run_scenario_payload, ["lossy-burst"] * 2, [5, 5])
-        )
-    assert first == second == remote[0] == remote[1]
-    assert first["fingerprint"] == remote[1]["fingerprint"]
+        remote = list(pool.map(run_spec, [spec] * 2, [5, 5], [False, False]))
+    assert first.payload == second.payload == remote[0].payload == remote[1].payload
+    assert first.fingerprint == remote[0].fingerprint == remote[1].fingerprint
 
 
 def test_sweep_specs_cover_the_grid():
