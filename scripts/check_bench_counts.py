@@ -1,0 +1,75 @@
+#!/usr/bin/env python
+"""Gate one traced benchmark result on the committed call counts.
+
+Reads the JSON result that ``perfbench/run.py --trace 1`` prints on its
+last line from standard input.  Exits 1 unless the run was correct and
+neither its ``sim.spawn.calls`` nor its ``sim.execute.calls`` exceeds
+the ``counts`` recorded for the workload in the newest
+``BENCH_<n>.json`` at the repository root:
+
+    python3 perfbench/run.py --workload fleet-32 --seed 1 --seconds 1 --trace 1 \\
+        | tail -n 1 | python3 scripts/check_bench_counts.py fleet-32
+
+The counts come from wrappers that count calls, not from timings, so
+they are the same on every host and Python version.  A change that
+spawns a task per received frame again fails here.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import sys
+from pathlib import Path
+from typing import Any, Dict, List
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Metrics that may fall but must not rise above the committed counts.
+GATED = ("sim.spawn.calls", "sim.execute.calls")
+
+
+def newest_bench(root: Path = ROOT) -> Path:
+    """The ``BENCH_<n>.json`` with the largest ``n``."""
+    numbered = {}
+    for path in root.glob("BENCH_*.json"):
+        match = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+        if match:
+            numbered[int(match.group(1))] = path
+    if not numbered:
+        raise SystemExit(f"error: no BENCH_<n>.json in {root}")
+    return numbered[max(numbered)]
+
+
+def problems(result: Dict[str, Any], committed: Dict[str, int]) -> List[str]:
+    """Why ``result`` fails the gate; empty when it passes."""
+    found = []
+    if not result.get("correct"):
+        found.append("run is not correct (outputs differ from the pins)")
+    for name in GATED:
+        got = result["metrics"][name]["value"]
+        if got > committed[name]:
+            found.append(f"{name} {got} exceeds the committed {committed[name]}")
+    return found
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        sys.stderr.write("usage: check_bench_counts.py WORKLOAD < result.json\n")
+        return 2
+    workload = args[0]
+    bench = newest_bench()
+    with open(bench, encoding="utf-8") as f:
+        counts = json.load(f).get("counts", {})
+    if workload not in counts:
+        sys.stderr.write(f"error: {bench.name} has no counts for {workload}\n")
+        return 1
+    found = problems(json.loads(sys.stdin.read()), counts[workload])
+    for problem in found:
+        sys.stderr.write(f"{workload}: {problem} ({bench.name})\n")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -236,7 +236,7 @@ def run_client_workload(
     task = topology.sim.spawn(
         client_workload_body(stack, workload), name=task_name, daemon=True
     )
-    topology.sim.run_until(lambda: task.done, limit=time_limit_ns)
+    topology.sim.run_until_done([task], limit=time_limit_ns)
     if not task.done:
         raise ConfigError(f"{workload.name} did not finish; simulation wedged?")
     if task.error is not None:
@@ -558,7 +558,7 @@ def run_workload(bed: TestBed, tasks, time_limit_ns: Optional[int] = None):
     have finished, re-raising the first failure.
     """
     spawned = [bed.sim.spawn(gen, name=name, daemon=True) for name, gen in tasks]
-    bed.sim.run_until(lambda: all(t.done for t in spawned), limit=time_limit_ns)
+    bed.sim.run_until_done(spawned, limit=time_limit_ns)
     for task in spawned:
         if not task.done:
             raise ConfigError(f"workload task {task.name!r} did not finish")

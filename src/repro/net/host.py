@@ -4,6 +4,11 @@ The host charges per-fragment interrupt cost on receive (NIC IRQ +
 driver + IP input), then hands complete datagrams to the UDP stack.
 "Handling reply interrupts at a higher rate" is one of the costs the
 paper identifies for clients talking to fast servers (§3.5).
+
+Receiving a fragment is two plain callbacks, not a task: a zero-delay
+event submits the interrupt's CPU slot (:meth:`CpuSet.submit`), and the
+slot's continuation delivers.  An exception raised while delivering
+propagates out of the simulator's run loop.
 """
 
 from __future__ import annotations
@@ -56,14 +61,12 @@ class Host:
 
     def _rx_fragment(self, frag: Fragment, complete: Optional[Datagram]) -> None:
         self.rx_fragments += 1
-        self.sim.spawn(
-            self._rx_work(complete), name=f"{self.name}-rx-irq", daemon=True
+        self.sim.call_after(
+            0, self.cpus.submit, self.costs.rx_frame_irq, "net_rx_irq",
+            PRIO_INTERRUPT, self._rx_deliver, (complete,),
         )
 
-    def _rx_work(self, complete: Optional[Datagram]):
-        yield from self.cpus.execute(
-            self.costs.rx_frame_irq, label="net_rx_irq", priority=PRIO_INTERRUPT
-        )
+    def _rx_deliver(self, complete: Optional[Datagram]) -> None:
         if complete is not None:
             self.rx_datagrams += 1
             self.udp.deliver(complete)

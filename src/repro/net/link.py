@@ -30,7 +30,7 @@ the eager per-frame path (which reserves seqs identically).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..errors import ConfigError
 from ..obs.core import DISABLED
@@ -61,6 +61,7 @@ class Link:
         "_pending",
         "_head_armed",
         "_queue_series_key",
+        "_tx_ns",
     )
 
     def __init__(
@@ -103,6 +104,9 @@ class Link:
         #: Cached timeline key: send() is the hottest path in the net
         #: layer, so the per-link key string is built exactly once.
         self._queue_series_key = f"net/{name}/queue_ns"
+        #: Serialisation time per frame size: a link sees a handful of
+        #: sizes (full MTU frames, tails, small replies) millions of times.
+        self._tx_ns: Dict[int, int] = {}
 
     @staticmethod
     def _payload_span(args) -> int:
@@ -121,13 +125,17 @@ class Link:
         """
         if wire_bytes <= 0:
             raise ConfigError(f"{self.name}: empty frame")
-        start = max(self._sim.now, self._busy_until)
-        queued = start - self._sim.now
+        now = self._sim.now
+        start = max(now, self._busy_until)
+        queued = start - now
         if queued > 0:
             self.total_queue_ns += queued
             if queued > self.peak_queue_ns:
                 self.peak_queue_ns = queued
-        done_sending = start + transfer_time(wire_bytes, self.bandwidth)
+        tx_ns = self._tx_ns.get(wire_bytes)
+        if tx_ns is None:
+            tx_ns = self._tx_ns[wire_bytes] = transfer_time(wire_bytes, self.bandwidth)
+        done_sending = start + tx_ns
         self._busy_until = done_sending
         arrival = done_sending + self.latency_ns
         self.frames_sent += 1
@@ -175,7 +183,8 @@ class Link:
                 sim.push_at(arrival, seq, self._deliver_head)
         else:
             self._sim.call_at(arrival, deliver, *args)
-        self._record_frame(start, arrival, wire_bytes, args)
+        if obs.enabled:
+            self._record_frame(start, arrival, wire_bytes, args)
         return arrival
 
     def _deliver_head(self) -> None:
@@ -189,8 +198,6 @@ class Link:
 
     def _record_frame(self, start: int, arrival: int, wire_bytes: int, args) -> None:
         obs = self.obs
-        if not obs.enabled:
-            return
         sid = obs.span_begin(
             "net",
             "frame",

@@ -6,7 +6,8 @@ they were scheduled (a monotonically increasing sequence number breaks
 ties), which makes every run bit-for-bit reproducible.
 
 Simulated concurrency is expressed with generator-based tasks (see
-:mod:`repro.sim.task`); the core only knows about timed callbacks.
+:mod:`repro.sim.task`); the core only knows about timed callbacks, plus
+:meth:`Simulator.run_until_done`, which runs until given tasks finish.
 
 Two scheduling lanes share one heap:
 
@@ -33,6 +34,7 @@ import heapq
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
+from .task import Countdown, Task, Timeout
 
 __all__ = ["Simulator", "EventHandle"]
 
@@ -178,14 +180,10 @@ class Simulator:
 
     def spawn(self, generator, name: Optional[str] = None, daemon: bool = False):
         """Start a generator-based task.  See :class:`repro.sim.task.Task`."""
-        from .task import Task
-
         return Task(self, generator, name=name, daemon=daemon)
 
     def timeout(self, delay: int):
         """A waitable that fires after ``delay`` nanoseconds."""
-        from .task import Timeout
-
         return Timeout(self, delay)
 
     # -- running ------------------------------------------------------------
@@ -252,9 +250,11 @@ class Simulator:
         """Process events until ``predicate()`` is true or the queue drains.
 
         Needed because perpetual daemons (flush daemons, rpciod timers)
-        keep the queue non-empty forever; callers typically wait for a
-        foreground task: ``sim.run_until(lambda: task.done)``.
-        An optional absolute-time ``limit`` guards against wedged runs.
+        keep the queue non-empty forever.  ``predicate`` is called
+        before every event; to wait for tasks to finish, use
+        :meth:`run_until_done`, which stops on the same event without
+        that call.  An optional absolute-time ``limit`` guards against
+        wedged runs.
 
         The limit check peeks before popping: the over-limit event stays
         queued, so a caller that catches the :class:`SimulationError` and
@@ -303,6 +303,54 @@ class Simulator:
                     else:
                         handle = entry[2]
                         handle.fn(*handle.args)
+        finally:
+            self._running = False
+            self.events_processed += processed
+        return self._now
+
+    def run_until_done(self, tasks: List[Task], limit: Optional[int] = None) -> int:
+        """Process events until every task in ``tasks`` has finished or
+        the queue drains; returns the simulated time.
+
+        The loop reads a :class:`~repro.sim.task.Countdown` joined to the
+        tasks before each event, so it stops on the same event as
+        ``run_until(lambda: all(t.done for t in tasks))`` with no Python
+        call per event.  A failed task counts as finished; its exception
+        stays on ``task.error`` for the caller.  ``limit`` is checked
+        before popping, as in :meth:`run_until`.
+        """
+        if self._running:
+            raise SimulationError("simulator is already running (reentrant run)")
+        countdown = Countdown(tasks)
+        self._running = True
+        queue = self._queue
+        heappop = heapq.heappop
+        processed = 0
+        try:
+            while countdown.left and queue:
+                entry = queue[0]
+                if limit is not None and entry[0] > limit:
+                    if len(entry) == 3 and entry[2].cancelled:
+                        heappop(queue)
+                        self._cancelled -= 1
+                        continue
+                    self._now = limit
+                    raise SimulationError(
+                        f"run_until_done hit the time limit at {limit} ns"
+                    )
+                heappop(queue)
+                if len(entry) == 4:
+                    self._now = entry[0]
+                    processed += 1
+                    entry[2](*entry[3])
+                else:
+                    handle = entry[2]
+                    if handle.cancelled:
+                        self._cancelled -= 1
+                        continue
+                    self._now = entry[0]
+                    processed += 1
+                    handle.fn(*handle.args)
         finally:
             self._running = False
             self.events_processed += processed

@@ -19,15 +19,18 @@ Example::
 Failure semantics: an exception escaping a task is re-raised inside any
 joiner.  If nobody is joining a non-daemon task, the exception propagates
 out of :meth:`Simulator.run` wrapped in :class:`TaskFailed` — errors never
-pass silently.
+pass silently.  :meth:`Simulator.run_until_done` joins its tasks too and
+leaves each failure on the task's ``error`` for its caller to raise.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from ..errors import SimulationError, TaskFailed
-from .core import Simulator
+
+if TYPE_CHECKING:
+    from .core import Simulator
 
 __all__ = ["Waitable", "Timeout", "Task", "AllOf"]
 
@@ -37,7 +40,8 @@ class Waitable:
 
     Subclasses implement :meth:`_arm`, which is called exactly once with
     the yielding task; the waitable must eventually call
-    ``task._resume(value)`` or ``task._throw(exc)``.
+    ``task._resume(value)`` or ``task._throw(exc)`` (or schedule the
+    same zero-delay ``task._step`` call ``_resume`` would).
     """
 
     __slots__ = ()
@@ -138,21 +142,22 @@ class Task(Waitable):
             self._gen.close()
             self._finish(None, None)
             return
-        prev = self._sim.current_task
-        self._sim.current_task = self
+        sim = self._sim
+        prev = sim.current_task
+        sim.current_task = self
         try:
             if exc is not None:
                 item = self._gen.throw(exc)
             else:
                 item = self._gen.send(value)
         except StopIteration as stop:
-            self._finish(getattr(stop, "value", None), None)
+            self._finish(stop.value, None)
             return
         except BaseException as err:  # noqa: BLE001 - must capture task failures
             self._finish(None, err)
             return
         finally:
-            self._sim.current_task = prev
+            sim.current_task = prev
         if not isinstance(item, Waitable):
             self._finish(
                 None,
@@ -192,41 +197,47 @@ class AllOf(Waitable):
         self._tasks = list(tasks)
 
     def _arm(self, task: Task) -> None:
-        remaining = [t for t in self._tasks if not t.done]
         failed = next((t for t in self._tasks if t.done and t.error), None)
         if failed is not None:
             task._throw(failed.error)  # type: ignore[arg-type]
             return
-        if not remaining:
+        if not Countdown(self._tasks, task).left:
             task._resume([t.result for t in self._tasks])
-            return
-        state = {"left": len(remaining), "delivered": False}
-
-        def plant(target: Task) -> None:
-            waiter = _Notify(state, self._tasks, task)
-            target._joiners.append(waiter)
-
-        for t in remaining:
-            plant(t)
 
 
-class _Notify(Task):
-    """Internal joiner used by :class:`AllOf` (duck-typed, never stepped)."""
+class Countdown:
+    """A never-stepped joiner that counts unfinished tasks down to zero.
 
-    def __init__(self, state, tasks, waiter):  # noqa: D401 - internal
-        # Deliberately does NOT call Task.__init__; only _resume/_throw
-        # are ever invoked on it, via the joined task's completion path.
-        self._state = state
+    It joins every task of ``tasks`` not yet done, so each one's
+    completion resumes (or, on failure, throws at) it like any joiner:
+    ``left`` is the number still running, and a failed task counts as
+    finished.  Reading ``left`` costs no Python call, which is what
+    :meth:`Simulator.run_until_done` checks before every event.
+
+    With a ``waiter`` task it is :class:`AllOf`'s machinery: the waiter
+    resumes with every result once ``left`` reaches zero, or gets the
+    first failure thrown in.
+    """
+
+    __slots__ = ("left", "_tasks", "_waiter")
+
+    def __init__(self, tasks: List[Task], waiter: Optional[Task] = None):
+        self.left = 0
         self._tasks = tasks
         self._waiter = waiter
+        for t in tasks:
+            if not t.done:
+                self.left += 1
+                t._joiners.append(self)  # type: ignore[arg-type]
 
     def _resume(self, value: Any) -> None:
-        self._state["left"] -= 1
-        if self._state["left"] == 0 and not self._state["delivered"]:
-            self._state["delivered"] = True
-            self._waiter._resume([t.result for t in self._tasks])
+        self.left -= 1
+        if not self.left and self._waiter is not None:
+            waiter, self._waiter = self._waiter, None
+            waiter._resume([t.result for t in self._tasks])
 
     def _throw(self, exc: BaseException) -> None:
-        if not self._state["delivered"]:
-            self._state["delivered"] = True
-            self._waiter._throw(exc)
+        self.left -= 1
+        if self._waiter is not None:
+            waiter, self._waiter = self._waiter, None
+            waiter._throw(exc)

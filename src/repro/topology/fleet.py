@@ -218,7 +218,7 @@ class FleetWorkload:
                     daemon=True,
                 )
             )
-        sim.run_until(lambda: all(t.done for t in tasks), limit=time_limit_ns)
+        sim.run_until_done(tasks, limit=time_limit_ns)
         stragglers = [
             stack.name for stack, t in zip(topo.clients, tasks) if not t.done
         ]

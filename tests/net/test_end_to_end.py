@@ -1,5 +1,7 @@
 """Integration tests: host-to-host datagrams through the switch."""
 
+import pytest
+
 from repro.config import CpuCosts, NetConfig
 from repro.net import Host, Switch
 from repro.sim import Simulator
@@ -71,6 +73,21 @@ def test_receive_charges_interrupt_cpu():
     alice_sock.sendto("bob", 2049, "x", 8392)
     sim.run()
     assert bob.cpus.time_by_label.get("net_rx_irq") == 6 * costs.rx_frame_irq
+
+
+def test_receive_path_error_propagates_out_of_run():
+    sim = Simulator()
+    alice, bob = make_pair(sim)
+    alice_sock = alice.udp.socket(800)
+    bob_sock = bob.udp.socket(2049)
+
+    def broken_hook():
+        raise RuntimeError("on_deliver failed")
+
+    bob_sock.on_deliver = broken_hook
+    alice_sock.sendto("bob", 2049, "x", 100)
+    with pytest.raises(RuntimeError, match="on_deliver failed"):
+        sim.run()
 
 
 def test_datagram_to_unbound_port_dropped():

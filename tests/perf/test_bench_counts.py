@@ -1,0 +1,58 @@
+"""The committed bench row carries the call counts the CI bench job gates."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+WORKLOADS = ("headline-30mb", "fleet-32", "openloop-knfsd")
+
+
+_spec = importlib.util.spec_from_file_location(
+    "check_bench_counts", ROOT / "scripts" / "check_bench_counts.py"
+)
+gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gate)
+
+
+def _result(correct=True, spawn=10, execute=20):
+    return {
+        "correct": correct,
+        "metrics": {
+            "sim.spawn.calls": {"value": spawn, "unit": "count"},
+            "sim.execute.calls": {"value": execute, "unit": "count"},
+        },
+    }
+
+
+def test_newest_bench_row_counts_every_workload():
+    with open(gate.newest_bench(ROOT), encoding="utf-8") as f:
+        counts = json.load(f)["counts"]
+    for workload in WORKLOADS:
+        assert set(gate.GATED) | {"sim.events"} <= set(counts[workload])
+
+
+def test_newest_bench_is_the_highest_number(tmp_path):
+    for n in (6, 14, 9):
+        (tmp_path / f"BENCH_{n}.json").write_text("{}")
+    (tmp_path / "BENCH_x.json").write_text("{}")
+    assert gate.newest_bench(tmp_path).name == "BENCH_14.json"
+
+
+@pytest.mark.parametrize(
+    "result, failing",
+    [
+        (_result(), []),
+        (_result(spawn=5, execute=1), []),
+        (_result(spawn=11), ["sim.spawn.calls"]),
+        (_result(execute=21), ["sim.execute.calls"]),
+        (_result(correct=False), ["correct"]),
+    ],
+)
+def test_gate_fails_on_a_wrong_run_or_a_count_above_the_committed(result, failing):
+    found = gate.problems(result, {"sim.spawn.calls": 10, "sim.execute.calls": 20})
+    assert len(found) == len(failing)
+    for problem, name in zip(found, failing):
+        assert name in problem

@@ -36,8 +36,6 @@ ALLOWED_DICT_CLASSES = {
     "repro.sim.sync.MonitoredLock",
     "repro.sim.sync.Semaphore",
     "repro.sim.sync.WaitQueue",
-    # AllOf's internal joiner stores its own state outside Task's slots.
-    "repro.sim.task._Notify",
 }
 
 PACKAGES = (repro.sim, repro.net, repro.rpc)

@@ -1,10 +1,10 @@
-"""Tests for the event-loop fast lane, compaction, and the run_until
-limit fix (peek before pop)."""
+"""Tests for the event-loop fast lane, compaction, the run_until limit
+fix (peek before pop) and the run_until_done countdown loop."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 
 
 class TestCallAfter:
@@ -173,3 +173,80 @@ class TestRunUntilLimit:
         sim.run_until(lambda: bool(fired), limit=50)
         assert fired == ["edge"]
         assert sim.now == 50
+
+
+def _tasks_world():
+    """Three workers of different lengths beside a perpetual daemon, so
+    the queue never drains and only the stop test ends a run."""
+    sim = Simulator()
+
+    def daemon():
+        while True:
+            yield sim.timeout(7)
+
+    def worker(rounds):
+        for _ in range(rounds):
+            yield sim.timeout(10)
+        return rounds
+
+    sim.spawn(daemon(), daemon=True)
+    tasks = [sim.spawn(worker(n), daemon=True) for n in (3, 1, 5)]
+    return sim, tasks
+
+
+class TestRunUntilDone:
+    def test_stops_on_the_same_event_as_the_predicate_loop(self):
+        by_predicate, tasks = _tasks_world()
+        by_predicate.run_until(lambda: all(t.done for t in tasks))
+        by_countdown, counted = _tasks_world()
+        by_countdown.run_until_done(counted)
+        assert by_countdown.events_processed == by_predicate.events_processed
+        assert by_countdown.now == by_predicate.now == 50
+        assert by_countdown.pending_events() == by_predicate.pending_events()
+        assert [t.result for t in counted] == [3, 1, 5]
+
+    def test_limit_is_checked_before_popping_and_the_run_resumes(self):
+        straight, everyone = _tasks_world()
+        straight.run_until_done(everyone)
+        sim, tasks = _tasks_world()
+        with pytest.raises(SimulationError):
+            sim.run_until_done(tasks, limit=25)
+        assert sim.now == 25
+        assert not tasks[0].done and tasks[1].done
+        sim.run_until_done(tasks)
+        assert sim.events_processed == straight.events_processed
+        assert sim.now == straight.now
+
+    def test_cancelled_events_past_the_limit_drain_without_raising(self):
+        sim = Simulator()
+
+        def stuck():
+            yield Event(sim)  # never triggered
+
+        task = sim.spawn(stuck(), daemon=True)
+        sim.schedule(100, lambda: None).cancel()
+        sim.run_until_done([task], limit=50)
+        assert sim.pending_events() == 0
+        assert not task.done
+
+    def test_returns_at_once_when_every_task_is_done(self):
+        sim, tasks = _tasks_world()
+        sim.run_until_done(tasks)
+        events, now, pending = sim.events_processed, sim.now, sim.pending_events()
+        assert sim.run_until_done(tasks) == now
+        assert sim.run_until_done([]) == now
+        assert sim.events_processed == events
+        assert sim.pending_events() == pending
+
+    def test_a_failed_task_counts_as_done(self):
+        sim, tasks = _tasks_world()
+
+        def failing():
+            yield sim.timeout(15)
+            raise ValueError("boom")
+
+        bad = sim.spawn(failing(), daemon=True)
+        sim.run_until_done([bad, tasks[1]])
+        assert sim.now == 15
+        assert bad.done and isinstance(bad.error, ValueError)
+        assert not tasks[0].done

@@ -99,6 +99,81 @@ def test_zero_duration_execute_is_free():
     assert "nothing" not in cpus.time_by_label
 
 
+def test_callback_and_task_slots_resume_in_submission_order():
+    sim = Simulator()
+    cpus = CpuSet(sim, 4)
+    resumed = []
+
+    def note(tag):
+        resumed.append((tag, sim.now))
+
+    def worker(tag):
+        yield from cpus.execute(us(10), label="task")
+        note(tag)
+
+    # Four slots submitted in this order at t=0 all end at us(10).
+    sim.call_after(0, cpus.submit, us(10), "cb", PRIO_USER, note, ("cb0",))
+    sim.spawn(worker("task1"))
+    sim.call_after(0, cpus.submit, us(10), "cb", PRIO_USER, note, ("cb2",))
+    sim.spawn(worker("task3"))
+    sim.run()
+    assert resumed == [
+        ("cb0", us(10)), ("task1", us(10)), ("cb2", us(10)), ("task3", us(10))
+    ]
+
+
+def test_priority_applies_to_callback_slots():
+    sim = Simulator()
+    cpus = CpuSet(sim, 1)
+    order = []
+    cpus.submit(us(10), "hog", PRIO_USER, order.append, ("hog",))
+    cpus.submit(us(5), "user", PRIO_USER, order.append, ("user",))
+    cpus.submit(us(1), "intr", PRIO_INTERRUPT, order.append, ("intr",))
+    sim.run()
+    assert order == ["hog", "intr", "user"]
+    assert sim.now == us(16)
+
+
+def test_zero_duration_callback_runs_inline():
+    sim = Simulator()
+    cpus = CpuSet(sim, 1)
+    ran = []
+    assert cpus.submit(0, "nothing", PRIO_USER, ran.append, ("now",)) is None
+    assert ran == ["now"]
+    assert sim.pending_events() == 0
+    sim.run()
+    assert sim.events_processed == 0
+    assert "nothing" not in cpus.time_by_label
+    with pytest.raises(SimulationError):
+        cpus.submit(-1, "negative", PRIO_USER, ran.append, ("never",))
+
+
+def test_callback_slots_charge_time_by_label_like_task_slots():
+    work = [(us(10), "alpha"), (us(20), "beta"), (us(5), "alpha")]
+
+    def charged(callbacks):
+        sim = Simulator()
+        cpus = CpuSet(sim, 2)
+        if callbacks:
+            def chain(i):
+                if i < len(work):
+                    duration, label = work[i]
+                    cpus.submit(duration, label, PRIO_USER, chain, (i + 1,))
+
+            chain(0)
+        else:
+            def worker():
+                for duration, label in work:
+                    yield from cpus.execute(duration, label=label)
+
+            sim.spawn(worker())
+        sim.run()
+        return cpus.time_by_label, cpus.total_busy_ns, sim.now
+
+    assert charged(True) == charged(False)
+    assert charged(True) == ({"alpha": us(15), "beta": us(20)}, us(35), us(35))
+
+
 def test_negative_duration_rejected():
     sim = Simulator()
     cpus = CpuSet(sim, 1)
