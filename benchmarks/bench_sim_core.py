@@ -2,15 +2,21 @@
 
 The sweeps dispatch ~10^8 events per `run --all`, so the event loop's
 per-event overhead bounds everything else.  This bench drives the loop
-with the repo's dominant event shape — short self-rescheduling callback
-chains (task steps, CPU slot completions, frame deliveries) — and
-reports events/sec in ``extra_info`` so future PRs can show sim-core
-speedups as a number, not a feeling.
+with the two event shapes the traced workloads produce, and reports
+events/sec in ``extra_info`` so future PRs can show sim-core speedups
+as a number, not a feeling:
+
+* short self-rescheduling timed callback chains (CPU slot completions,
+  frame deliveries, timeouts);
+* continuation chains: each timed slot issues a zero-delay
+  continuation, as ``CpuSet._complete`` resumes the task that yielded
+  the slot.  About half of every workload's events are such
+  continuations.
 
 ``_SeedSimulator`` below is a faithful replica of the seed event loop
 (an :class:`EventHandle` allocated per event, per-event ``until`` and
-``cancelled`` checks) kept as the fixed baseline; the fast-lane test
-asserts the current core beats it.
+``cancelled`` checks) kept as the fixed baseline; both shapes assert
+the current core beats it by 1.3x.
 """
 
 import heapq
@@ -19,6 +25,8 @@ import time
 N_CHAINS = 64
 EVENTS_PER_CHAIN = 2_000
 TOTAL_EVENTS = N_CHAINS * EVENTS_PER_CHAIN
+#: Interleaved best-of rounds of the continuation case.
+CONTINUATION_ROUNDS = 15
 
 
 class _SeedHandle:
@@ -75,6 +83,25 @@ def churn(sim):
     assert not any(left)
 
 
+def continuations(sim):
+    """Run N_CHAINS interleaved slot-then-continuation chains."""
+    left = [EVENTS_PER_CHAIN // 2] * N_CHAINS
+
+    def resume(i):
+        left[i] -= 1
+        if left[i]:
+            sim.call_after(10 + i, complete, i)
+
+    def complete(i):
+        sim.call_after(0, resume, i)
+
+    for i in range(N_CHAINS):
+        sim.call_after(i, complete, i)
+    sim.run()
+    assert not any(left)
+    return sim
+
+
 def test_fast_lane_events_per_second(benchmark, capsys):
     from repro.sim import Simulator
 
@@ -103,6 +130,40 @@ def test_fast_lane_events_per_second(benchmark, capsys):
             f"{fast_rate / seed_rate:.2f}x)"
         )
     assert fast_rate > 1.3 * seed_rate
+
+
+def test_continuation_events_per_second(benchmark, capsys):
+    """Zero-delay continuations after timed slots, against the seed loop.
+
+    The rounds of the two loops interleave, and alternate which runs
+    first, so drift in host speed hits both.
+    """
+    from repro.sim import Simulator
+
+    def interleaved():
+        current, seed = [], []
+        for i in range(CONTINUATION_ROUNDS):
+            runs = [
+                (current, lambda: continuations(Simulator())),
+                (seed, lambda: continuations(_SeedSimulator())),
+            ]
+            for times, run in runs[:: 1 if i % 2 else -1]:
+                times.append(_timed(run))
+        return min(current), min(seed)
+
+    best, seed_best = benchmark.pedantic(interleaved, rounds=1, iterations=1)
+    assert continuations(Simulator()).events_processed == TOTAL_EVENTS
+    rate, seed_rate = TOTAL_EVENTS / best, TOTAL_EVENTS / seed_best
+
+    benchmark.extra_info["events_per_second"] = round(rate)
+    benchmark.extra_info["seed_events_per_second"] = round(seed_rate)
+    benchmark.extra_info["speedup_vs_seed"] = round(rate / seed_rate, 2)
+    with capsys.disabled():
+        print(
+            f"\ncontinuations: {rate:,.0f} ev/s "
+            f"(seed loop {seed_rate:,.0f} ev/s, {rate / seed_rate:.2f}x)"
+        )
+    assert rate > 1.3 * seed_rate
 
 
 def test_task_stepping_events_per_second(benchmark, capsys):

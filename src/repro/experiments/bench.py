@@ -4,8 +4,10 @@ Every PR in the perf trajectory appends a ``BENCH_<n>.json`` snapshot
 so speedups (and regressions) are numbers in the tree, not anecdotes.
 Four lanes, each measuring a layer the sweeps actually stress:
 
-* **sim_core** — events/sec through the event loop on the dominant
-  event shape (short self-rescheduling callback chains).
+* **sim_core** — events/sec through the event loop on the two event
+  shapes the workloads produce: timed self-rescheduling callback
+  chains, and timed slots each followed by a zero-delay continuation
+  (about half of every workload's events are such continuations).
 * **headline** — wall-clock of the paper's headline progression
   (stock vs fully-patched client, 30 MB vs the filer), plus the
   simulated improvement factor it reproduces.
@@ -25,7 +27,7 @@ import os
 import sys
 import tempfile
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = ["run_bench", "bench_payload"]
 
@@ -42,30 +44,62 @@ def _wall() -> float:
     return time.perf_counter()  # noqa: DET102
 
 
-def _bench_sim_core(chains: int, events_per_chain: int) -> Dict[str, Any]:
+def _timed_chains(sim, chains: int, events_per_chain: int) -> List[int]:
+    """Self-rescheduling timed callbacks (slot completions, deliveries)."""
+    left = [events_per_chain] * chains
+
+    def tick(i):
+        left[i] -= 1
+        if left[i]:
+            sim.call_after(10 + i, tick, i)
+
+    for i in range(chains):
+        sim.call_after(i, tick, i)
+    return left
+
+
+def _continuation_chains(sim, chains: int, events_per_chain: int) -> List[int]:
+    """A timed slot, then its zero-delay continuation, as
+    ``CpuSet._complete`` resumes the task that yielded the slot."""
+    left = [events_per_chain // 2] * chains
+
+    def resume(i):
+        left[i] -= 1
+        if left[i]:
+            sim.call_after(10 + i, complete, i)
+
+    def complete(i):
+        sim.call_after(0, resume, i)
+
+    for i in range(chains):
+        sim.call_after(i, complete, i)
+    return left
+
+
+def _best_rate(chains_of, chains: int, events_per_chain: int) -> int:
+    """Events/sec of the fastest of three runs of one chain shape."""
     from ..sim import Simulator
 
     total = chains * events_per_chain
     best = None
     for _ in range(3):
         sim = Simulator()
-        left = [events_per_chain] * chains
-
-        def tick(i):
-            left[i] -= 1
-            if left[i]:
-                sim.call_after(10 + i, tick, i)
-
         started = _wall()
-        for i in range(chains):
-            sim.call_after(i, tick, i)
+        left = chains_of(sim, chains, events_per_chain)
         sim.run()
         elapsed = _wall() - started
         assert sim.events_processed == total and not any(left)
         best = elapsed if best is None else min(best, elapsed)
+    return round(total / best)
+
+
+def _bench_sim_core(chains: int, events_per_chain: int) -> Dict[str, Any]:
     return {
-        "events": total,
-        "events_per_second": round(total / best),
+        "events": chains * events_per_chain,
+        "events_per_second": _best_rate(_timed_chains, chains, events_per_chain),
+        "continuation_events_per_second": _best_rate(
+            _continuation_chains, chains, events_per_chain
+        ),
     }
 
 
@@ -171,7 +205,8 @@ def run_bench(
     fleet, cache = payload["fleet"], payload["cache"]
     out.write(
         f"sim core   {sim_core['events_per_second']:>12,} events/s "
-        f"({sim_core['events']:,} events)\n"
+        f"timed, {sim_core['continuation_events_per_second']:,} with "
+        f"continuations ({sim_core['events']:,} events)\n"
     )
     out.write(
         f"headline   {headline['wall_s']:>10.2f} s wall   "

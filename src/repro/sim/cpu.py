@@ -132,14 +132,18 @@ class CpuSet:
             self.time_by_label.get(req.label, 0) + req.duration
         )
         self.total_busy_ns += req.duration
+        sim = self._sim
         if self._queue:
             nxt = heapq.heappop(self._queue)[2]
             self.core_labels[core] = nxt.label
-            self._sim.call_after(nxt.duration, self._complete, core, nxt)
+            sim.call_after(nxt.duration, self._complete, core, nxt)
         else:
             self.core_labels[core] = None
             self._free.append(core)
-        self._sim.call_after(0, req.fn, *req.args)
+        # The continuation goes straight onto the ready lane, as
+        # ``call_after(0, req.fn, *req.args)`` would put it.
+        sim._seq = seq = sim._seq + 1
+        sim._ready.append((seq, req.fn, req.args))
 
     # -- reporting --------------------------------------------------------------
 

@@ -40,8 +40,9 @@ class Waitable:
 
     Subclasses implement :meth:`_arm`, which is called exactly once with
     the yielding task; the waitable must eventually call
-    ``task._resume(value)`` or ``task._throw(exc)`` (or schedule the
-    same zero-delay ``task._step`` call ``_resume`` would).
+    ``task._resume(value)`` or ``task._throw(exc)``, or put on the
+    simulator's ready lane the same zero-delay ``task._step`` entry that
+    ``_resume`` appends (a CPU slot's completion does that).
     """
 
     __slots__ = ()
@@ -130,10 +131,16 @@ class Task(Waitable):
     # -- machinery -----------------------------------------------------------
 
     def _resume(self, value: Any) -> None:
-        self._sim.call_after(0, self._step, value, None)
+        # The ready-lane entry ``call_after(0, self._step, value, None)``
+        # would append, without its frame (see :mod:`repro.sim.core`).
+        sim = self._sim
+        sim._seq = seq = sim._seq + 1
+        sim._ready.append((seq, self._step, (value, None)))
 
     def _throw(self, exc: BaseException) -> None:
-        self._sim.call_after(0, self._step, None, exc)
+        sim = self._sim
+        sim._seq = seq = sim._seq + 1
+        sim._ready.append((seq, self._step, (None, exc)))
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         if self.done:

@@ -20,6 +20,7 @@ def test_bench_payload_quick_schema_and_invariants():
     sim_core = payload["sim_core"]
     assert sim_core["events"] == 16 * 500
     assert sim_core["events_per_second"] > 0
+    assert sim_core["continuation_events_per_second"] > 0
 
     headline = payload["headline"]
     assert headline["improvement_x"] > 1.0

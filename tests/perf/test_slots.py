@@ -22,7 +22,6 @@ import repro.sim
 #: Deliberately dict-ful classes, with why they are allowed to be.
 ALLOWED_DICT_CLASSES = {
     # One per simulated world; never allocated on a hot path.
-    "repro.sim.core.Simulator",
     "repro.sim.trace.Tracer",
     "repro.sim.profiler.SamplingProfiler",
     "repro.sim.rng.RngStreams",

@@ -117,6 +117,25 @@ class TestCompaction:
         assert fired == []
         assert sim.pending_events() == 0
 
+    @pytest.mark.parametrize("loop", ["run", "run_until"])
+    def test_cancelling_fired_handles_counts_no_dead_entries(self, loop, monkeypatch):
+        """Regression: a fired handle still knew its simulator, so each
+        cancel counted a dead heap entry that did not exist and drove
+        compactions of an empty heap."""
+        compactions = []
+        monkeypatch.setattr(Simulator, "_compact", lambda sim: compactions.append(sim))
+        sim = Simulator()
+        handles = [sim.schedule(i, lambda: None) for i in range(20)]
+        if loop == "run":
+            sim.run()
+        else:
+            sim.run_until(lambda: False, limit=100)
+        for handle in handles:
+            handle.cancel()
+        assert sim._cancelled == 0
+        assert compactions == []
+        assert all(handle.cancelled for handle in handles)
+
     def test_cancel_after_fire_is_harmless(self):
         sim = Simulator()
         handle = sim.schedule(1, lambda: None)
