@@ -33,19 +33,27 @@ def _run(observe: bool):
 
 
 def test_scoped_key_cache_reuses_interned_keys():
-    """Fleet-scoped facades must hit their key cache, not rebuild keys."""
-    from repro.obs.core import Observability, ScopedObservability
+    """Fleet-scoped views must hit their cell cache, not rebuild keys."""
+    import sys
+
+    from repro.obs.core import Observability
     from repro.sim import Simulator
 
     obs = Observability(Simulator(), enabled=True)
-    scoped = ScopedObservability(obs, "client3")
+    scoped = obs.scoped("client3")
     for _ in range(3):
         scoped.count("rpc/retransmits")
     ((key, metric),) = list(obs.metrics.items())
     assert key == "client3/rpc/retransmits"
     assert metric.value == 3
-    # The cached key IS the registered key object (no per-call copies).
-    assert scoped._keys["rpc/retransmits"] is key
+    # The registered key is the interned (single-copy) string, and the
+    # view's cached cell IS the registry's own object.
+    assert key is sys.intern("client3/rpc/retransmits")
+    assert scoped._counters["rpc/retransmits"] is metric
+    # A cache hit never goes back to the registry.
+    obs.metrics.counter = None
+    scoped.count("rpc/retransmits")
+    assert metric.value == 4
 
 
 def test_obs_overhead(benchmark, capsys):
@@ -68,8 +76,8 @@ def test_obs_overhead(benchmark, capsys):
     assert len(bed_on.obs.metrics) > 20
 
     # Key interning: every registered metric key must be the interned
-    # (single-copy) string — scoped facades cache their prefixed keys,
-    # so per-call string building is gone from the instrument hot path.
+    # (single-copy) string; observers cache their registered cells, so
+    # per-call key building is gone from the instrument hot path.
     import sys
 
     for key, _metric in bed_on.obs.metrics.items():

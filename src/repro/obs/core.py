@@ -26,17 +26,24 @@ or explicitly: ``TestBed(..., observe=True)``.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import sys
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.trace import Tracer
-from .metrics import MetricsRegistry
-from .timeseries import DEFAULT_WINDOW_NS, TimelineRegistry
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .timeseries import (
+    DEFAULT_WINDOW_NS,
+    TimelineRegistry,
+    WindowedCounter,
+    WindowedGauge,
+    WindowedHistogram,
+)
 
 __all__ = [
     "Observability",
-    "ScopedObservability",
     "DISABLED",
     "ObsSession",
     "observed",
@@ -48,9 +55,27 @@ __all__ = [
 #: Default span/sample ring capacity per observed bed.
 DEFAULT_CAPACITY = 1_000_000
 
+#: Field names of the leading values in each trace-ring entry shape
+#: (see :mod:`repro.sim.trace`); span attributes follow as an item tuple.
+_BEGIN = ("span", "parent", "name")
+_END = ("span",)
+_SAMPLE = ("name", "value")
+
 
 class Observability:
-    """Metrics + causal span tracing for one simulation."""
+    """Metrics + causal span tracing for one simulation.
+
+    :meth:`scoped` returns a client view that shares this observer's
+    registries, trace ring, span numbering and per-task spans, so span
+    ids stay globally unique and causal edges across clients resolve in
+    one tree; the view prefixes metric keys and sample names with
+    ``<client>/`` and tags its spans with a ``client`` attribute.
+
+    Each observer caches the metric and timeline cells it has
+    registered, keyed by the caller's (unprefixed) key: recording is a
+    dict probe plus an update, and only a first use goes through the
+    registries, which intern the key and reject a kind conflict.
+    """
 
     __slots__ = (
         "sim",
@@ -60,8 +85,16 @@ class Observability:
         "tracer",
         "profiler",
         "latency_trace",
-        "_next_span",
+        "_prefix",
+        "_span_attrs",
+        "_span_ids",
         "_task_spans",
+        "_counters",
+        "_gauges",
+        "_histograms",
+        "_series_counters",
+        "_series_gauges",
+        "_series_histograms",
     )
 
     def __init__(
@@ -84,54 +117,109 @@ class Observability:
         #: trace runner, not by the hot path).
         self.profiler = None
         self.latency_trace = None
-        self._next_span = 0
+        #: Key prefix and leading span attributes: empty on the root.
+        self._prefix = ""
+        self._span_attrs: Tuple[Tuple[str, Any], ...] = ()
+        self._span_ids = itertools.count(1)
         #: Root span of the syscall each task is currently executing,
         #: keyed by the task object itself (never iterated, so object
         #: keys stay deterministic).
         self._task_spans: Dict[Any, int] = {}
+        self._new_cell_caches()
+
+    def _new_cell_caches(self) -> None:
+        self._counters: Dict[str, Counter] = {}
+        self._gauges: Dict[str, Gauge] = {}
+        self._histograms: Dict[str, Histogram] = {}
+        self._series_counters: Dict[str, WindowedCounter] = {}
+        self._series_gauges: Dict[str, WindowedGauge] = {}
+        self._series_histograms: Dict[str, WindowedHistogram] = {}
+
+    def scoped(self, client: str) -> "Observability":
+        """A view of this observer that records for fleet ``client``."""
+        # A shallow copy shares the registries, the tracer, the span-id
+        # counter and the task-span map; only the cell caches are its own.
+        view = copy.copy(self)
+        view._prefix = f"{client}/"
+        view._span_attrs = (("client", client),)
+        view._new_cell_caches()
+        return view
 
     # -- metrics ------------------------------------------------------------
 
     def count(self, key: str, n: int = 1) -> None:
         if self.enabled:
-            self.metrics.counter(key).inc(n)
+            counter = self._counters.get(key)
+            if counter is None:
+                counter = self._counters[key] = self.metrics.counter(
+                    self._prefix + key
+                )
+            counter.value += n
 
     def gauge(self, key: str, value) -> None:
         if self.enabled:
-            self.metrics.gauge(key).set(value)
+            gauge = self._gauges.get(key)
+            if gauge is None:
+                gauge = self._gauges[key] = self.metrics.gauge(self._prefix + key)
+            gauge.set(value)
 
     def observe(self, key: str, value, bounds=None) -> None:
+        """Record into ``key``'s histogram; ``bounds`` apply on first use."""
         if self.enabled:
-            self.metrics.histogram(key, bounds).observe(value)
+            histogram = self._histograms.get(key)
+            if histogram is None:
+                histogram = self._histograms[key] = self.metrics.histogram(
+                    self._prefix + key, bounds
+                )
+            histogram.observe(value)
 
     # -- timelines (windowed by simulated time) ------------------------------
 
     def series_count(self, key: str, n: int = 1) -> None:
         """Add to ``key``'s count in the current time window."""
         if self.enabled:
-            self.timelines.windowed_counter(key).record_windowed_count(
-                self.sim.now, n
-            )
+            series = self._series_counters.get(key)
+            if series is None:
+                series = self._series_counters[key] = (
+                    self.timelines.windowed_counter(self._prefix + key)
+                )
+            series.record_windowed_count(self.sim.now, n)
 
     def series_gauge(self, key: str, value) -> None:
         """Sample a level (queue depth, dirty bytes) into the window."""
         if self.enabled:
-            self.timelines.windowed_gauge(key).record_windowed_gauge(
-                self.sim.now, value
-            )
+            series = self._series_gauges.get(key)
+            if series is None:
+                series = self._series_gauges[key] = self.timelines.windowed_gauge(
+                    self._prefix + key
+                )
+            series.record_windowed_gauge(self.sim.now, value)
 
     def series_observe(self, key: str, value) -> None:
         """Record a latency/size sample into the window's histogram."""
         if self.enabled:
-            self.timelines.windowed_histogram(key).record_windowed_value(
-                self.sim.now, value
-            )
+            series = self._series_histograms.get(key)
+            if series is None:
+                series = self._series_histograms[key] = (
+                    self.timelines.windowed_histogram(self._prefix + key)
+                )
+            series.record_windowed_value(self.sim.now, value)
 
     # -- samples (time series; exported as Chrome counter events) -----------
 
     def sample(self, component: str, name: str, value) -> None:
         if self.enabled:
-            self.tracer.record(component, "sample", name=name, value=value)
+            self.tracer.ring.append(
+                (
+                    self.sim.now,
+                    component,
+                    "sample",
+                    _SAMPLE,
+                    sys.intern(self._prefix + name),
+                    value,
+                    (),
+                )
+            )
 
     # -- spans ---------------------------------------------------------------
 
@@ -146,25 +234,33 @@ class Observability:
         """Mint a span id and record its opening edge; 0 when disabled."""
         if not self.enabled:
             return 0
-        self._next_span += 1
-        sid = self._next_span
-        self.tracer.record_at(
-            self.sim.now if ts is None else ts,
-            component,
-            "span_begin",
-            span=sid,
-            parent=parent,
-            name=name,
-            **attrs,
+        sid = next(self._span_ids)
+        self.tracer.ring.append(
+            (
+                self.sim.now if ts is None else ts,
+                component,
+                "span_begin",
+                _BEGIN,
+                sid,
+                parent,
+                name,
+                self._span_attrs + tuple(attrs.items()),
+            )
         )
         return sid
 
     def span_end(self, span_id: int, ts: Optional[int] = None, **attrs: Any) -> None:
-        if not self.enabled or not span_id:
-            return
-        self.tracer.record_at(
-            self.sim.now if ts is None else ts, "", "span_end", span=span_id, **attrs
-        )
+        if self.enabled and span_id:
+            self.tracer.ring.append(
+                (
+                    self.sim.now if ts is None else ts,
+                    "",
+                    "span_end",
+                    _END,
+                    span_id,
+                    tuple(attrs.items()),
+                )
+            )
 
     def span_point(
         self, component: str, name: str, parent: int = 0, **attrs: Any
@@ -201,6 +297,7 @@ class Observability:
         registry — called at export time, never on the hot path."""
         if not self.enabled:
             return
+        component = self._prefix + component
         stats = lock.stats
         self.metrics.counter(f"{component}/acquisitions").value = stats.acquisitions
         self.metrics.counter(f"{component}/contended").value = stats.contended
@@ -218,123 +315,6 @@ class Observability:
 
 #: Shared no-op observer: components point here until a real one attaches.
 DISABLED = Observability()
-
-
-class ScopedObservability:
-    """A client-scoped view of one :class:`Observability`.
-
-    Multi-client topologies share a single observer per simulation (the
-    span tree crosses clients at the switch and the server), but each
-    client stack's components see a scoped facade: metric keys gain a
-    ``<client>/`` prefix and every span carries a ``client`` attribute —
-    the client-id dimension of fleet metrics.  All recording delegates
-    to the root, so span ids stay globally unique and causal edges
-    across clients resolve in one tree.
-    """
-
-    __slots__ = ("root", "client", "_prefix", "_keys")
-
-    def __init__(self, root: Observability, client: str):
-        self.root = root
-        self.client = client
-        self._prefix = f"{client}/"
-        # Prefixed-key cache: instrument call sites pass a small fixed
-        # vocabulary of literals, so building (and re-hashing) the
-        # f"{client}/{key}" string on every count() is pure overhead.
-        # Interned cached keys also make the registry probe pointer-fast.
-        self._keys: Dict[str, str] = {}
-
-    def _scoped(self, key: str) -> str:
-        scoped = self._keys.get(key)
-        if scoped is None:
-            scoped = sys.intern(self._prefix + key)
-            self._keys[key] = scoped
-        return scoped
-
-    @property
-    def enabled(self) -> bool:
-        return self.root.enabled
-
-    @property
-    def sim(self):
-        return self.root.sim
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self.root.metrics
-
-    @property
-    def timelines(self) -> TimelineRegistry:
-        return self.root.timelines
-
-    @property
-    def tracer(self) -> Optional[Tracer]:
-        return self.root.tracer
-
-    # -- metrics (key-prefixed) ---------------------------------------------
-
-    def count(self, key: str, n: int = 1) -> None:
-        self.root.count(self._scoped(key), n)
-
-    def gauge(self, key: str, value) -> None:
-        self.root.gauge(self._scoped(key), value)
-
-    def observe(self, key: str, value, bounds=None) -> None:
-        self.root.observe(self._scoped(key), value, bounds)
-
-    # -- timelines (key-prefixed) --------------------------------------------
-
-    def series_count(self, key: str, n: int = 1) -> None:
-        self.root.series_count(self._scoped(key), n)
-
-    def series_gauge(self, key: str, value) -> None:
-        self.root.series_gauge(self._scoped(key), value)
-
-    def series_observe(self, key: str, value) -> None:
-        self.root.series_observe(self._scoped(key), value)
-
-    def sample(self, component: str, name: str, value) -> None:
-        self.root.sample(component, self._scoped(name), value)
-
-    # -- spans (client-attributed, globally numbered) ------------------------
-
-    def span_begin(
-        self,
-        component: str,
-        name: str,
-        parent: int = 0,
-        ts: Optional[int] = None,
-        **attrs: Any,
-    ) -> int:
-        if not self.root.enabled:
-            return 0
-        return self.root.span_begin(
-            component, name, parent=parent, ts=ts, client=self.client, **attrs
-        )
-
-    def span_end(self, span_id: int, ts: Optional[int] = None, **attrs: Any) -> None:
-        self.root.span_end(span_id, ts=ts, **attrs)
-
-    def span_point(
-        self, component: str, name: str, parent: int = 0, **attrs: Any
-    ) -> int:
-        sid = self.span_begin(component, name, parent=parent, **attrs)
-        self.span_end(sid)
-        return sid
-
-    # -- per-task syscall context (shared with the root) ---------------------
-
-    def task_span(self) -> int:
-        return self.root.task_span()
-
-    def set_task_span(self, span_id: int) -> None:
-        self.root.set_task_span(span_id)
-
-    def clear_task_span(self) -> None:
-        self.root.clear_task_span()
-
-    def harvest_lock(self, lock, component: str = "bkl") -> None:
-        self.root.harvest_lock(lock, component=self._prefix + component)
 
 
 class ObsSession:
@@ -414,9 +394,9 @@ def attach_topology(topology, obs: Observability) -> None:
 
     Single-client topologies attach the root observer directly (metric
     keys identical to the historical ``TestBed`` surface); fleets give
-    each client stack a :class:`ScopedObservability` keyed by its host
-    name, adding the client-id dimension without splitting the span
-    tree.
+    each client stack a :meth:`~Observability.scoped` view keyed by its
+    host name, adding the client-id dimension without splitting the
+    span tree.
     """
     switch = topology.switch
     switch.obs = obs
@@ -429,7 +409,7 @@ def attach_topology(topology, obs: Observability) -> None:
             server.rpc.obs = obs
     scoped = len(topology.clients) > 1
     for stack in topology.clients:
-        view = ScopedObservability(obs, stack.name) if scoped else obs
+        view = obs.scoped(stack.name) if scoped else obs
         stack.obs = view
         stack.syscalls.obs = view
         stack.pagecache.obs = view

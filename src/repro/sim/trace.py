@@ -1,14 +1,19 @@
 """Structured event tracing.
 
 Tracing is off by default (zero overhead beyond a boolean check).  When
-enabled it records ``(time, component, kind, fields)`` tuples into a
-bounded ring, which tests and debugging sessions can inspect.
+enabled it appends flat tuples ``(time, component, kind, names,
+*values, items)`` to a bounded ring: ``names`` labels the leading
+values and ``items`` holds the remaining ``(field, value)`` pairs.
+Entries of scalars are plain tuples the cyclic GC can untrack, and
+writers (:mod:`repro.obs.core`) may append to :attr:`Tracer.ring`
+directly; :meth:`Tracer.records` rebuilds :class:`TraceRecord` values,
+fields in recording order, on read.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, NamedTuple, Optional
+from typing import Any, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from .core import Simulator
 
@@ -28,39 +33,28 @@ class Tracer:
     def __init__(self, sim: Simulator, capacity: int = 100_000, enabled: bool = False):
         self._sim = sim
         self.enabled = enabled
-        self._records: Deque[TraceRecord] = deque(maxlen=capacity)
+        self.ring: Deque[Tuple[Any, ...]] = deque(maxlen=capacity)
 
     def record(self, component: str, kind: str, **fields: Any) -> None:
-        if not self.enabled:
-            return
-        self._records.append(TraceRecord(self._sim.now, component, kind, fields))
-
-    def record_at(self, time: int, component: str, kind: str, **fields: Any) -> None:
-        """Record with an explicit timestamp.
-
-        Used for events whose span is known at schedule time (a frame's
-        arrival is computed when it is queued) — the ring stays in
-        append order, which exporters tolerate.
-        """
-        if not self.enabled:
-            return
-        self._records.append(TraceRecord(time, component, kind, fields))
+        if self.enabled:
+            self.ring.append((self._sim.now, component, kind, (), tuple(fields.items())))
 
     def records(
         self, component: Optional[str] = None, kind: Optional[str] = None
     ) -> List[TraceRecord]:
         """Records, optionally filtered by component and/or kind."""
         out = []
-        for rec in self._records:
-            if component is not None and rec.component != component:
-                continue
-            if kind is not None and rec.kind != kind:
-                continue
-            out.append(rec)
+        for entry in self.ring:
+            if (component is None or entry[1] == component) and (
+                kind is None or entry[2] == kind
+            ):
+                fields = dict(zip(entry[3], entry[4:]))
+                fields.update(entry[-1])
+                out.append(TraceRecord(entry[0], entry[1], entry[2], fields))
         return out
 
     def clear(self) -> None:
-        self._records.clear()
+        self.ring.clear()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.ring)

@@ -17,12 +17,13 @@ gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
 
 
-def _result(correct=True, spawn=10, execute=20):
+def _result(correct=True, spawn=10, execute=20, obs=30):
     return {
         "correct": correct,
         "metrics": {
             "sim.spawn.calls": {"value": spawn, "unit": "count"},
             "sim.execute.calls": {"value": execute, "unit": "count"},
+            "obs.calls": {"value": obs, "unit": "count"},
         },
     }
 
@@ -32,6 +33,9 @@ def test_newest_bench_row_counts_every_workload():
         counts = json.load(f)["counts"]
     for workload in WORKLOADS:
         assert set(gate.GATED) | {"sim.events"} <= set(counts[workload])
+    # Only the open-loop workload runs observed.
+    assert counts["headline-30mb"]["obs.calls"] == 0
+    assert counts["fleet-32"]["obs.calls"] == 0
 
 
 def test_newest_bench_is_the_highest_number(tmp_path):
@@ -45,14 +49,17 @@ def test_newest_bench_is_the_highest_number(tmp_path):
     "result, failing",
     [
         (_result(), []),
-        (_result(spawn=5, execute=1), []),
+        (_result(spawn=5, execute=1, obs=0), []),
         (_result(spawn=11), ["sim.spawn.calls"]),
         (_result(execute=21), ["sim.execute.calls"]),
+        (_result(obs=31), ["obs.calls"]),
         (_result(correct=False), ["correct"]),
     ],
 )
 def test_gate_fails_on_a_wrong_run_or_a_count_above_the_committed(result, failing):
-    found = gate.problems(result, {"sim.spawn.calls": 10, "sim.execute.calls": 20})
+    committed = {"sim.spawn.calls": 10, "sim.execute.calls": 20, "obs.calls": 30}
+    found = gate.problems(result, committed)
     assert len(found) == len(failing)
     for problem, name in zip(found, failing):
         assert name in problem
+

@@ -56,3 +56,86 @@ def test_tracer_ring_is_bounded():
         tracer.record("c", "k", i=i)
     assert len(tracer) == 10
     assert tracer.records()[0].fields["i"] == 15
+
+
+def test_tracer_ring_mixes_spans_samples_and_records():
+    """Span edges, samples and generic records share one bounded ring:
+    the oldest entries go first, and reads rebuild every record with its
+    fields in recording order."""
+    from repro.obs.core import Observability
+    from repro.sim import TraceRecord
+
+    sim = Simulator()
+    obs = Observability(sim, enabled=True, capacity=10)
+    view = obs.scoped("client1")
+    tracer = obs.tracer
+
+    def first():
+        root = obs.span_begin("syscall", "write", nbytes=4096)
+        obs.sample("rpc", "backlog", 1)
+        rpc = obs.span_begin("rpc", "WRITE", parent=root, ts=50, xid=7)
+        tracer.record("vm", "charge", bytes=4096, pages=[3, 4])
+        obs.span_end(rpc, ts=90, error="ETIMEDOUT")
+        obs.span_end(root)
+
+    def second():
+        page = view.span_begin("nfs", "page_dirty", parent=1, page=2)
+        view.sample("pagecache", "dirty_bytes", 8192)
+        tracer.record("rpc", "send", xid=8)
+        view.span_end(page)
+        view.span_point("rpc", "retransmit", parent=page, xid=8)
+        obs.sample("rpc", "cwnd", 2)
+
+    sim.schedule(10, first)
+    sim.schedule(20, second)
+    sim.run()
+
+    # Thirteen entries into a ring of ten: the first three are gone.
+    assert len(tracer) == 10
+    expected = [
+        TraceRecord(10, "vm", "charge", {"bytes": 4096, "pages": [3, 4]}),
+        TraceRecord(90, "", "span_end", {"span": 2, "error": "ETIMEDOUT"}),
+        TraceRecord(10, "", "span_end", {"span": 1}),
+        TraceRecord(
+            20,
+            "nfs",
+            "span_begin",
+            {
+                "span": 3,
+                "parent": 1,
+                "name": "page_dirty",
+                "client": "client1",
+                "page": 2,
+            },
+        ),
+        TraceRecord(
+            20, "pagecache", "sample", {"name": "client1/dirty_bytes", "value": 8192}
+        ),
+        TraceRecord(20, "rpc", "send", {"xid": 8}),
+        TraceRecord(20, "", "span_end", {"span": 3}),
+        TraceRecord(
+            20,
+            "rpc",
+            "span_begin",
+            {
+                "span": 4,
+                "parent": 3,
+                "name": "retransmit",
+                "client": "client1",
+                "xid": 8,
+            },
+        ),
+        TraceRecord(20, "", "span_end", {"span": 4}),
+        TraceRecord(20, "rpc", "sample", {"name": "cwnd", "value": 2}),
+    ]
+    records = tracer.records()
+    assert records == expected
+    assert all(type(rec) is TraceRecord for rec in records)
+    # Dict equality ignores order; exporters iterate fields, so pin it.
+    assert [list(rec.fields) for rec in records] == [
+        list(rec.fields) for rec in expected
+    ]
+    assert tracer.records(component="rpc") == [expected[i] for i in (5, 7, 9)]
+    assert tracer.records(kind="span_end") == [expected[i] for i in (1, 2, 6, 8)]
+    assert tracer.records(component="rpc", kind="sample") == [expected[9]]
+    assert tracer.records(component="vm", kind="sample") == []
