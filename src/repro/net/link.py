@@ -141,29 +141,17 @@ class Link:
         self.frames_sent += 1
         self.bytes_sent += wire_bytes
         obs = self.obs
-        if obs.enabled:
-            obs.count("net/frames_sent")
-            obs.count("net/bytes_sent", wire_bytes)
-            obs.series_gauge(self._queue_series_key, queued)
+        name = "frame"
         if self.fault is not None:
             deliveries = self.fault.on_frame(wire_bytes)
             if not deliveries:
                 self.frames_dropped += 1
+                name = "frame_dropped"
                 if obs.enabled:
                     obs.count(
                         f"net/frames_dropped/{type(self.fault).__name__}"
                     )
-                    sid = obs.span_begin(
-                        "net",
-                        "frame_dropped",
-                        parent=self._payload_span(args),
-                        ts=start,
-                        bytes=wire_bytes,
-                        link=self.name,
-                    )
-                    obs.span_end(sid, ts=arrival)
-                return arrival
-            if len(deliveries) > 1:
+            elif len(deliveries) > 1:
                 self.frames_duplicated += len(deliveries) - 1
                 if obs.enabled:
                     obs.count("net/frames_duplicated", len(deliveries) - 1)
@@ -184,7 +172,16 @@ class Link:
         else:
             self._sim.call_at(arrival, deliver, *args)
         if obs.enabled:
-            self._record_frame(start, arrival, wire_bytes, args)
+            obs.frame(
+                self.name,
+                self._queue_series_key,
+                wire_bytes,
+                queued,
+                start,
+                arrival,
+                self._payload_span(args),
+                name,
+            )
         return arrival
 
     def _deliver_head(self) -> None:
@@ -195,18 +192,6 @@ class Link:
         else:
             self._head_armed = False
         deliver(*args)
-
-    def _record_frame(self, start: int, arrival: int, wire_bytes: int, args) -> None:
-        obs = self.obs
-        sid = obs.span_begin(
-            "net",
-            "frame",
-            parent=self._payload_span(args),
-            ts=start,
-            bytes=wire_bytes,
-            link=self.name,
-        )
-        obs.span_end(sid, ts=arrival)
 
     def queue_delay_ns(self) -> int:
         """Backlog currently ahead of a new frame."""

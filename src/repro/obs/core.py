@@ -56,10 +56,12 @@ __all__ = [
 DEFAULT_CAPACITY = 1_000_000
 
 #: Field names of the leading values in each trace-ring entry shape
-#: (see :mod:`repro.sim.trace`); span attributes follow as an item tuple.
+#: (see :mod:`repro.sim.trace`); span attribute names follow them.
 _BEGIN = ("span", "parent", "name")
 _END = ("span",)
 _SAMPLE = ("name", "value")
+#: Attributes of a link frame's span, after the observer's own.
+_FRAME = ("bytes", "link")
 
 
 class Observability:
@@ -74,7 +76,9 @@ class Observability:
     Each observer caches the metric and timeline cells it has
     registered, keyed by the caller's (unprefixed) key: recording is a
     dict probe plus an update, and only a first use goes through the
-    registries, which intern the key and reject a kind conflict.
+    registries, which intern the key and reject a kind conflict.  It
+    also caches the field names of its span entries per attribute
+    signature, so a span is stored as names plus values.
     """
 
     __slots__ = (
@@ -86,7 +90,8 @@ class Observability:
         "profiler",
         "latency_trace",
         "_prefix",
-        "_span_attrs",
+        "_span_names",
+        "_span_values",
         "_span_ids",
         "_task_spans",
         "_counters",
@@ -95,6 +100,8 @@ class Observability:
         "_series_counters",
         "_series_gauges",
         "_series_histograms",
+        "_begin_names",
+        "_frame_names",
     )
 
     def __init__(
@@ -119,30 +126,35 @@ class Observability:
         self.latency_trace = None
         #: Key prefix and leading span attributes: empty on the root.
         self._prefix = ""
-        self._span_attrs: Tuple[Tuple[str, Any], ...] = ()
+        self._span_names: Tuple[str, ...] = ()
+        self._span_values: Tuple[Any, ...] = ()
         self._span_ids = itertools.count(1)
         #: Root span of the syscall each task is currently executing,
         #: keyed by the task object itself (never iterated, so object
         #: keys stay deterministic).
         self._task_spans: Dict[Any, int] = {}
-        self._new_cell_caches()
+        self._new_caches()
 
-    def _new_cell_caches(self) -> None:
+    def _new_caches(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._series_counters: Dict[str, WindowedCounter] = {}
         self._series_gauges: Dict[str, WindowedGauge] = {}
         self._series_histograms: Dict[str, WindowedHistogram] = {}
+        #: Attribute names of a ``span_begin`` call -> its entry's names.
+        self._begin_names: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        self._frame_names = _BEGIN + self._span_names + _FRAME
 
     def scoped(self, client: str) -> "Observability":
         """A view of this observer that records for fleet ``client``."""
         # A shallow copy shares the registries, the tracer, the span-id
-        # counter and the task-span map; only the cell caches are its own.
+        # counter and the task-span map; only the caches are its own.
         view = copy.copy(self)
         view._prefix = f"{client}/"
-        view._span_attrs = (("client", client),)
-        view._new_cell_caches()
+        view._span_names = ("client",)
+        view._span_values = (client,)
+        view._new_caches()
         return view
 
     # -- metrics ------------------------------------------------------------
@@ -217,7 +229,6 @@ class Observability:
                     _SAMPLE,
                     sys.intern(self._prefix + name),
                     value,
-                    (),
                 )
             )
 
@@ -235,16 +246,21 @@ class Observability:
         if not self.enabled:
             return 0
         sid = next(self._span_ids)
+        keys = tuple(attrs)
+        names = self._begin_names.get(keys)
+        if names is None:
+            names = self._begin_names[keys] = _BEGIN + self._span_names + keys
         self.tracer.ring.append(
             (
                 self.sim.now if ts is None else ts,
                 component,
                 "span_begin",
-                _BEGIN,
+                names,
                 sid,
                 parent,
                 name,
-                self._span_attrs + tuple(attrs.items()),
+                *self._span_values,
+                *attrs.values(),
             )
         )
         return sid
@@ -256,9 +272,10 @@ class Observability:
                     self.sim.now if ts is None else ts,
                     "",
                     "span_end",
-                    _END,
+                    # Closing attributes are rare (an error code).
+                    _END + tuple(attrs) if attrs else _END,
                     span_id,
-                    tuple(attrs.items()),
+                    *attrs.values(),
                 )
             )
 
@@ -269,6 +286,62 @@ class Observability:
         sid = self.span_begin(component, name, parent=parent, **attrs)
         self.span_end(sid)
         return sid
+
+    def frame(
+        self,
+        link: str,
+        queue_key: str,
+        wire_bytes: int,
+        queued: int,
+        start: int,
+        end: int,
+        parent: int,
+        name: str = "frame",
+    ) -> None:
+        """Record one frame a link put on the wire, in one call.
+
+        Adds to ``net/frames_sent`` and ``net/bytes_sent``, samples the
+        ``queued`` delay into the link's ``queue_key`` gauge, and stores
+        the frame's span (serialisation ``start`` to arrival ``end``,
+        under the RPC span ``parent``) as one complete-span ring entry.
+        A dropped frame is recorded with ``name="frame_dropped"``.
+        """
+        if not self.enabled:
+            return
+        # count() twice and series_gauge(), inlined: this runs per frame.
+        frames = self._counters.get("net/frames_sent")
+        if frames is None:
+            frames = self._counters["net/frames_sent"] = self.metrics.counter(
+                self._prefix + "net/frames_sent"
+            )
+        frames.value += 1
+        sent = self._counters.get("net/bytes_sent")
+        if sent is None:
+            sent = self._counters["net/bytes_sent"] = self.metrics.counter(
+                self._prefix + "net/bytes_sent"
+            )
+        sent.value += wire_bytes
+        series = self._series_gauges.get(queue_key)
+        if series is None:
+            series = self._series_gauges[queue_key] = self.timelines.windowed_gauge(
+                self._prefix + queue_key
+            )
+        series.record_windowed_gauge(self.sim.now, queued)
+        self.tracer.ring.append(
+            (
+                start,
+                "net",
+                "span",
+                self._frame_names,
+                end,
+                next(self._span_ids),
+                parent,
+                name,
+                *self._span_values,
+                wire_bytes,
+                link,
+            )
+        )
 
     # -- per-task syscall context --------------------------------------------
     #

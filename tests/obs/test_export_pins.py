@@ -1,26 +1,31 @@
 """Byte-level pins on every observability export.
 
-Two small observed runs are reduced to SHA-256 digests of their four
+Three small observed runs are reduced to SHA-256 digests of their four
 exports: the canonical Chrome-trace JSON, the prometheus text, the
 timeline snapshot and the SLO report.  The filer fleet exercises the
 client-scoped views (prefixed metric keys and sample names, ``client``
 span attributes, per-client BKL harvests) and the per-frame link spans;
 the knfsd bed runs fsync transactions, so it records COMMIT spans and
-the transport's samples.  A change to how the observer records or
-stores anything shows up here as a digest mismatch, however the run
-itself is fingerprinted.
+the transport's samples; the faulted fleet drops and duplicates reply
+frames under a short-timeout mount, so it records ``frame_dropped``
+spans, the drop and duplicate counters and retransmits.  A change to
+how the observer records or stores anything shows up here as a digest
+mismatch, however the run itself is fingerprinted.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from repro.bench.runner import TestBed
+from repro.config import MountConfig
+from repro.faults import DropFrames, Duplicate, FaultChain
 from repro.obs import chrome_trace, evaluate_slos, prometheus_text
 from repro.obs.core import observed
-from repro.topology import FleetWorkload, Topology
-from repro.units import KIB
+from repro.topology import ClientSpec, FleetWorkload, Topology
+from repro.units import KIB, ms, us
 
 #: name -> {export -> SHA-256 hex digest}.
 PINS = {
@@ -35,6 +40,12 @@ PINS = {
         "prometheus": "557b043f3fab18178d2b304b346bcf4af24c0a3c149387a8747a919127a8126e",
         "timelines": "2ed375ce77d432efee6a4106489619ddcebad8a19585eb532c3003189021ed97",
         "slo": "91d37f8d3e886d942fcf4b492365bfc1006ea0f2d590237dde26a592134306b3",
+    },
+    "faulted-fleet-2": {
+        "chrome_trace": "7095dcf304446ed739c5417deb74d03099f4db70cf8587f1b71af78e813b13df",
+        "prometheus": "4719f181b824b44851c8b137ee36c9a8cfbc2c89a18a8003d2038ce2e15ed1b0",
+        "timelines": "b03a43b3d12993ade2b991a533270865f45d14191443ec6a0bf2e8733a587512",
+        "slo": "712b23f7d07644407c0c5bd28d8de893aae4ad52bb96759e48efbe5cf7585240",
     },
 }
 
@@ -75,7 +86,34 @@ def _knfsd_fsync():
     return bed.obs
 
 
-RUNS = {"filer-fleet-3": _filer_fleet, "knfsd-fsync": _knfsd_fsync}
+def _faulted_fleet():
+    with observed() as session:
+        topo = Topology(
+            clients=ClientSpec(mount=MountConfig(timeo_ns=ms(20))).replicate(2)
+        )
+        # Two of client1's replies are lost (each costs a retransmit the
+        # server answers again) and a quarter of the rest arrive twice.
+        topo.switch.install_fault(
+            "client1",
+            downlink=FaultChain(
+                [
+                    DropFrames([2, 6]),
+                    Duplicate(random.Random(7), probability=0.25, lag_ns=us(30)),
+                ]
+            ),
+        )
+        FleetWorkload(topo, 96 * KIB).run()
+    for stack in topo.clients:
+        stack.obs.harvest_lock(stack.nfs.bkl)
+    (obs,) = session.observabilities
+    return obs
+
+
+RUNS = {
+    "filer-fleet-3": _filer_fleet,
+    "knfsd-fsync": _knfsd_fsync,
+    "faulted-fleet-2": _faulted_fleet,
+}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

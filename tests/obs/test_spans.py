@@ -76,6 +76,19 @@ def test_fsync_and_commit_spans_present(fig1_obs):
     assert "COMMIT" in names
 
 
+def test_frame_counters_match_the_frame_spans(fig1_obs):
+    """Every frame the links send is both counted and traced."""
+    snap = fig1_obs.metrics.snapshot()
+    frames = [
+        s
+        for s in build_spans(fig1_obs.tracer).values()
+        if s.component == "net" and s.name == "frame"
+    ]
+    assert frames
+    assert snap["net/frames_sent"] == len(frames)
+    assert snap["net/bytes_sent"] == sum(s.attrs["bytes"] for s in frames)
+
+
 def test_metrics_cover_every_layer(fig1_obs):
     snap = fig1_obs.metrics.snapshot()
     assert snap["syscall/write_calls"] == 2 * MIB // 8192

@@ -139,3 +139,90 @@ def test_tracer_ring_mixes_spans_samples_and_records():
     assert tracer.records(kind="span_end") == [expected[i] for i in (1, 2, 6, 8)]
     assert tracer.records(component="rpc", kind="sample") == [expected[9]]
     assert tracer.records(component="vm", kind="sample") == []
+
+
+def test_tracer_reads_a_complete_span_as_both_edges():
+    """A link frame is one ring entry that reads back as its span_begin
+    record, then its span_end record; filters see each record on its own
+    and eviction drops both edges together."""
+    from repro.obs.core import Observability
+    from repro.obs.export import build_spans
+    from repro.sim import TraceRecord
+
+    sim = Simulator()
+    obs = Observability(sim, enabled=True, capacity=3)
+    view = obs.scoped("client1")
+    tracer = obs.tracer
+
+    def send():
+        obs.frame("c0-up", "net/c0-up/queue_ns", 1514, 0, 10, 42, 0)
+        obs.sample("rpc", "cwnd", 2)
+        view.frame(
+            "c1-up", "net/c1-up/queue_ns", 182, 8, 18, 30, 1, name="frame_dropped"
+        )
+
+    sim.schedule(10, send)
+    sim.run()
+
+    begin1 = TraceRecord(
+        10,
+        "net",
+        "span_begin",
+        {"span": 1, "parent": 0, "name": "frame", "bytes": 1514, "link": "c0-up"},
+    )
+    end1 = TraceRecord(42, "", "span_end", {"span": 1})
+    sample = TraceRecord(10, "rpc", "sample", {"name": "cwnd", "value": 2})
+    begin2 = TraceRecord(
+        18,
+        "net",
+        "span_begin",
+        {
+            "span": 2,
+            "parent": 1,
+            "name": "frame_dropped",
+            "client": "client1",
+            "bytes": 182,
+            "link": "c1-up",
+        },
+    )
+    end2 = TraceRecord(30, "", "span_end", {"span": 2})
+
+    # Three entries fill the ring; the two frames read as four records.
+    assert len(tracer) == 3
+    records = tracer.records()
+    assert records == [begin1, end1, sample, begin2, end2]
+    assert [list(rec.fields) for rec in records] == [
+        list(rec.fields) for rec in (begin1, end1, sample, begin2, end2)
+    ]
+    assert tracer.records(component="net") == [begin1, begin2]
+    assert tracer.records(component="") == [end1, end2]
+    assert tracer.records(kind="span_end") == [end1, end2]
+    assert tracer.records(component="net", kind="span_end") == []
+    assert tracer.records(kind="span") == []
+    spans = build_spans(tracer)
+    assert [(s.name, s.start, s.end) for s in spans.values()] == [
+        ("frame", 10, 42),
+        ("frame_dropped", 18, 30),
+    ]
+    # Each call also counts the frame and samples its link's queue delay.
+    assert obs.metrics.snapshot() == {
+        "client1/net/bytes_sent": 182,
+        "client1/net/frames_sent": 1,
+        "net/bytes_sent": 1514,
+        "net/frames_sent": 1,
+    }
+    gauge = "windowed_gauge"
+    assert obs.timelines.snapshot()["series"] == {
+        "client1/net/c1-up/queue_ns": {"kind": gauge, "windows": [[0, 8, 8]]},
+        "net/c0-up/queue_ns": {"kind": gauge, "windows": [[0, 0, 0]]},
+    }
+
+    # A fourth entry evicts the first frame, both of its edges at once.
+    tracer.record("vm", "charge", bytes=4096)
+    assert len(tracer) == 3
+    assert tracer.records() == [
+        sample,
+        begin2,
+        end2,
+        TraceRecord(10, "vm", "charge", {"bytes": 4096}),
+    ]
