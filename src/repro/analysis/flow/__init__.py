@@ -1,9 +1,11 @@
-"""Whole-program flow analysis: statically prove the repro contracts.
+"""The static analyzer: statically prove the repro contracts.
 
-``repro.analysis.flow`` parses the entire ``repro`` package into a
+``repro.analysis.flow`` parses the entire ``repro`` package once into a
 module-resolved call graph (:mod:`.modindex`, :mod:`.callgraph`) and
-runs interprocedural dataflow passes over it:
+runs every rule over it:
 
+* :mod:`.syntactic` — DET101–DET105, MUT201, DEAD301 per-module
+  determinism and hygiene rules,
 * :mod:`.effects` — PUR5xx pure-observer proof (field-write effect
   inference over everything reachable from obs/sanitizer hooks),
 * :mod:`.taint` — DET15x nondeterminism taint to fingerprints,
@@ -13,8 +15,9 @@ runs interprocedural dataflow passes over it:
 * :mod:`.simapi` — SIM6xx simulator API misuse.
 
 Everything is stdlib-only and runs in seconds without executing a
-simulation. Entry point: :func:`analyze` / :func:`run_flow` (the
-``repro-nfs flow`` CLI).
+simulation. Suppressions are ``# noqa: CODE`` comments that must name
+what they silence. Entry point: :func:`analyze` / :func:`run_flow`
+(the ``repro-nfs flow`` CLI).
 """
 
 from .baseline import (  # noqa: F401

@@ -1,14 +1,15 @@
 """Configuration for the whole-program flow analysis.
 
 The defaults describe this repository's contracts: which modules hold
-observer-owned state, which functions are pure-observer entry points,
-and which ``Simulator`` methods mutate the event queue. Tests build a
-:class:`FlowConfig` by hand to analyse fixture packages.
+observer-owned state and which functions are pure-observer entry
+points. Tests build a :class:`FlowConfig` by hand to analyse fixture
+packages; the fixed tables (scheduling methods, fingerprint sinks,
+blocking calls) live next to the passes that read them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
 __all__ = ["FlowConfig", "DEFAULT_CONFIG"]
@@ -60,58 +61,6 @@ class FlowConfig:
             "repro.analysis.sanitize.runtime.attach_if_active",
         }
     )
-
-    #: Method names that schedule simulator events (PUR503 / DET152 /
-    #: SIM6xx sinks) when the receiver resolves to a simulator class.
-    schedule_methods: FrozenSet[str] = frozenset(
-        {
-            "call_after",
-            "call_at",
-            "schedule",
-            "schedule_at",
-            "push_at",
-            "spawn",
-            "alloc_seq",
-        }
-    )
-
-    #: Class names (last qualname component) treated as simulators.
-    simulator_classes: FrozenSet[str] = frozenset({"Simulator"})
-
-    #: Call names whose return value is nondeterministic (DET15x
-    #: sources). ``random.*`` module draws are matched structurally.
-    clock_calls: FrozenSet[str] = frozenset(
-        {"time.time", "time.monotonic", "time.perf_counter", "time.time_ns",
-         "time.monotonic_ns", "time.perf_counter_ns", "datetime.datetime.now",
-         "datetime.datetime.utcnow"}
-    )
-
-    #: Functions whose call fingerprints state (DET151 sinks), matched
-    #: by final qualname component.
-    fingerprint_calls: FrozenSet[str] = frozenset(
-        {"_fingerprint", "fingerprint", "fingerprint_events", "digest"}
-    )
-
-    #: Blocking / forbidden calls inside event handlers (LCK702),
-    #: matched against the dotted syntactic callee.
-    blocking_calls: FrozenSet[str] = frozenset(
-        {
-            "time.sleep",
-            "os.system",
-            "os.popen",
-            "subprocess.run",
-            "subprocess.Popen",
-            "subprocess.call",
-            "subprocess.check_call",
-            "subprocess.check_output",
-            "socket.socket",
-            "input",
-        }
-    )
-
-    #: Per-function cap on reported unresolved-ownership write sites
-    #: (PUR502) so one messy helper cannot flood the report.
-    max_unknown_sites: int = 3
 
     def owns_module(self, module: str) -> bool:
         return any(

@@ -100,17 +100,40 @@ class FnEffects:
     sched_calls: List[SchedCall] = field(default_factory=list)
 
 
-def _is_schedule_edge(edge: CallEdge, config: FlowConfig) -> bool:
-    if edge.callee_name not in config.schedule_methods:
+#: Method names that schedule simulator events (PUR503 / DET152 /
+#: SIM6xx sinks) when the receiver resolves to a simulator class.
+SCHEDULE_METHODS = frozenset(
+    {
+        "call_after",
+        "call_at",
+        "schedule",
+        "schedule_at",
+        "push_at",
+        "spawn",
+        "alloc_seq",
+    }
+)
+
+#: Class names (last qualname component) treated as simulators.
+SIMULATOR_CLASSES = frozenset({"Simulator"})
+
+#: Per-function cap on reported unresolved-ownership write sites
+#: (PUR502) and observer escapes (PUR504) so one messy helper cannot
+#: flood the report.
+MAX_UNKNOWN_SITES = 3
+
+
+def _is_schedule_edge(edge: CallEdge) -> bool:
+    if edge.callee_name not in SCHEDULE_METHODS:
         return False
     for target in edge.targets:
         parts = target.rsplit(".", 2)
-        if len(parts) >= 2 and parts[-2] in config.simulator_classes:
+        if len(parts) >= 2 and parts[-2] in SIMULATOR_CLASSES:
             return True
     recv = edge.receiver
     if recv is not None:
         for cls in recv.types:
-            if cls.rsplit(".", 1)[-1] in config.simulator_classes:
+            if cls.rsplit(".", 1)[-1] in SIMULATOR_CLASSES:
                 return True
     return False
 
@@ -160,7 +183,7 @@ def _ground_target(
     return [WriteEffect(None, attr, qual, line, via, ref.describe())], [], False
 
 
-def _extract_one(graph: CallGraph, qualname: str, config: FlowConfig) -> FnEffects:
+def _extract_one(graph: CallGraph, qualname: str) -> FnEffects:
     fn = graph.index.functions[qualname]
     ctx = graph.context(qualname)
     eff = FnEffects()
@@ -217,7 +240,7 @@ def _extract_one(graph: CallGraph, qualname: str, config: FlowConfig) -> FnEffec
     # Mutating container calls and scheduling/RNG calls.
     for edge in graph.edges(qualname):
         call = edge.node
-        if _is_schedule_edge(edge, config):
+        if _is_schedule_edge(edge):
             eff.sched_calls.append(SchedCall(edge.callee_name, edge.line, "schedule"))
         if _is_rng_call(call):
             func = call.func
@@ -279,10 +302,10 @@ def _flatten_target(target: ast.AST) -> List[ast.AST]:
     return [target]
 
 
-def extract_effects(graph: CallGraph, config: FlowConfig) -> Dict[str, FnEffects]:
+def extract_effects(graph: CallGraph) -> Dict[str, FnEffects]:
     """Local effect summaries for every function in the index."""
     return {
-        qualname: _extract_one(graph, qualname, config)
+        qualname: _extract_one(graph, qualname)
         for qualname in graph.index.functions
     }
 
@@ -462,7 +485,7 @@ def check_pure_observer(
             if issue is None:
                 continue
             if issue.code == "PUR502":
-                if unknown_reported >= config.max_unknown_sites:
+                if unknown_reported >= MAX_UNKNOWN_SITES:
                     continue
                 unknown_reported += 1
             issues.append(issue)
@@ -504,7 +527,7 @@ def check_pure_observer(
                     continue
                 if edge.callee_name in COMMON_OBJECT_METHODS:
                     continue  # counted in stats; almost surely dict/str
-                if escapes_reported >= config.max_unknown_sites:
+                if escapes_reported >= MAX_UNKNOWN_SITES:
                     continue
                 escapes_reported += 1
                 issues.append(
@@ -520,7 +543,7 @@ def check_pure_observer(
                 )
             elif edge.kind == "heuristic" and not follow(edge):
                 unresolved += 1
-                if escapes_reported >= config.max_unknown_sites:
+                if escapes_reported >= MAX_UNKNOWN_SITES:
                     continue
                 escapes_reported += 1
                 issues.append(

@@ -1,13 +1,14 @@
 """Orchestration for ``repro-nfs flow``: index → graph → passes → report.
 
-Runs the whole-program analysis over one package root, applies scoped
-``# noqa-flow: CODE`` suppressions (with SUP401-style staleness
-reported as FLW003), diffs against the committed baseline, and renders
-text or a stable JSON report (``repro-nfs/flow-report@1``).
+Runs every rule — the per-module syntactic DET10x/MUT201/DEAD301 pass
+and the interprocedural passes — over one package root, applies
+``# noqa: CODE`` suppressions (a suppression that silences nothing is
+SUP401), diffs against the committed baseline, and renders text or a
+stable JSON report (``repro-nfs/flow-report@1``).
 
-Exit contract, matching ``repro-nfs lint``: 0 clean, 1 findings
-(errors always fail, warnings only under ``--strict``), 2 usage errors
-(unknown ``--select`` code, unreadable/invalid baseline).
+Exit contract: 0 clean, 1 findings (errors always fail, warnings only
+under ``--strict``), 2 usage errors (unknown ``--select`` code,
+unreadable/invalid baseline).
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import re
 import sys
 import time
 import tokenize
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Union
 
 from .baseline import BaselineEntry, apply_baseline, load_baseline, save_baseline
 from .callgraph import build_callgraph
@@ -29,6 +30,7 @@ from .effects import FlowIssue, check_pure_observer, extract_effects
 from .locks import check_locks
 from .modindex import build_index
 from .simapi import check_simapi
+from .syntactic import check_syntactic
 from .taint import check_taint
 
 __all__ = [
@@ -58,7 +60,14 @@ class FlowRule:
 _FLOW_RULE_LIST = [
     FlowRule("FLW001", "syntax-error", SEVERITY_ERROR, "file does not parse; excluded from the whole-program graph"),
     FlowRule("FLW002", "stale-baseline-entry", SEVERITY_ERROR, "baseline entry matches no current finding; remove it"),
-    FlowRule("FLW003", "stale-noqa-flow", SEVERITY_WARNING, "noqa-flow comment suppresses no finding on this line"),
+    FlowRule("SUP401", "unused-suppression", SEVERITY_WARNING, "noqa comment suppresses no finding on this line; remove it"),
+    FlowRule("DET101", "unseeded-rng", SEVERITY_ERROR, "process-global or unseeded RNG breaks deterministic replay; draw from a named repro.sim.RngStreams stream instead"),
+    FlowRule("DET102", "wall-clock", SEVERITY_ERROR, "host wall-clock reads leak nondeterminism into the simulation; use the simulator clock (sim.now) for model time"),
+    FlowRule("DET103", "unordered-iteration", SEVERITY_ERROR, "iterating a set yields PYTHONHASHSEED-dependent order; sort it or keep an insertion-ordered structure"),
+    FlowRule("DET104", "id-in-key", SEVERITY_ERROR, "id() in a sort key or hash input depends on allocation addresses and varies run to run"),
+    FlowRule("DET105", "stray-random-import", SEVERITY_WARNING, "import random outside repro.sim.rng; all randomness must flow through named RngStreams streams"),
+    FlowRule("MUT201", "mutable-default", SEVERITY_ERROR, "mutable default argument is shared across calls"),
+    FlowRule("DEAD301", "unreachable-code", SEVERITY_ERROR, "statement is unreachable after an unconditional return/raise/break/continue"),
     FlowRule("PUR501", "impure-observer-write", SEVERITY_ERROR, "observer-reachable code writes non-observer state"),
     FlowRule("PUR502", "unresolved-ownership-write", SEVERITY_WARNING, "observer-reachable write whose owner could not be resolved"),
     FlowRule("PUR503", "observer-schedules-or-draws", SEVERITY_ERROR, "observer-reachable code schedules events or draws RNG"),
@@ -102,51 +111,35 @@ class FlowReport:
     root: str
     findings: List[FlowFinding]
     stats: Dict[str, int]
+    #: Absolute path -> the source text each analysed module was parsed
+    #: from (what ``--fix-suppressions`` rewrites).
+    sources: Dict[str, str] = field(default_factory=dict, repr=False)
 
 
-# -- noqa-flow suppressions --------------------------------------------------
+# -- noqa suppressions -------------------------------------------------------
 
-_NOQA_FLOW_RE = re.compile(
-    r"#\s*noqa-flow:\s*(?P<codes>[A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)"
-)
-#: Lines carrying a syntactic DET noqa (bare, or listing a DET code
-#: such as DET102 on a ``time.time()`` read) also silence the matching
-#: taint *source* under DET15x.
-_NOQA_DET_RE = re.compile(
-    r"#\s*noqa(?::\s*(?P<codes>[A-Z]{2,4}\d{3}(?:\s*,\s*[A-Z]{2,4}\d{3})*))?"
-)
+#: ``# noqa: CODE[,CODE]``. A bare ``# noqa``, or any variant without
+#: the ``: CODE`` list, names no code and silences nothing. Foreign
+#: codes (flake8's ``F401``, ``BLE001`` …) parse but are never ours.
+_NOQA_RE = re.compile(r"#\s*noqa:\s*(?P<codes>[A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*)")
 
 
-def _scan_file_suppressions(
-    source: str,
-) -> Tuple[Dict[int, List[object]], Set[int]]:
-    """(noqa-flow line -> [codes, used], source-silenced lines)."""
-    flow: Dict[int, List[object]] = {}
-    silenced: Set[int] = set()
+def _scan_suppressions(source: str) -> Dict[int, List[object]]:
+    """Map line number -> [codes, used] for every ``# noqa: CODE`` comment."""
+    suppressions: Dict[int, List[object]] = {}
     try:
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             if token.type != tokenize.COMMENT:
                 continue
-            line = token.start[0]
-            match = _NOQA_FLOW_RE.search(token.string)
+            match = _NOQA_RE.search(token.string)
             if match is not None:
-                # Tracked per-code in the engine, never via `silenced`:
-                # a wrong-code noqa-flow must not hide other findings.
                 codes = frozenset(
                     c.strip() for c in match.group("codes").split(",")
                 )
-                flow[line] = [codes, False]
-                continue
-            match = _NOQA_DET_RE.search(token.string)
-            if match is not None:
-                raw = match.group("codes")
-                if raw is None or any(
-                    c.strip().startswith("DET") for c in raw.split(",")
-                ):
-                    silenced.add(line)
+                suppressions[token.start[0]] = [codes, False]
     except tokenize.TokenError:
-        pass
-    return flow, silenced
+        pass  # the file parsed; a tokenize-only quirk leaves it unsuppressed
+    return suppressions
 
 
 # -- analysis ----------------------------------------------------------------
@@ -181,25 +174,22 @@ def analyze(
     graph = build_callgraph(index)
 
     # Per-file suppressions, keyed by the absolute path the index uses.
-    flow_noqa: Dict[str, Dict[int, List[object]]] = {}
-    silenced: Dict[str, Set[int]] = {}
-    for mod in index.modules.values():
-        try:
-            source = Path(mod.path).read_text(encoding="utf-8")
-        except OSError:
-            continue
-        flow_noqa[mod.path], silenced[mod.path] = _scan_file_suppressions(source)
+    noqa = {
+        mod.path: _scan_suppressions(mod.source) for mod in index.modules.values()
+    }
 
-    def line_suppressed(path: str, line: int) -> bool:
-        return line in silenced.get(path, ())
+    def source_silenced(path: str, line: int) -> bool:
+        """A noqa naming a DET code also silences the line's taint source."""
+        entry = noqa[path].get(line)
+        return entry is not None and any(c.startswith("DET") for c in entry[0])
 
-    issues: List[FlowIssue] = []
+    issues: List[FlowIssue] = check_syntactic(index)
     stats: Dict[str, int] = {}
-    local = extract_effects(graph, cfg)
+    local = extract_effects(graph)
     pur, pur_stats = check_pure_observer(graph, local, cfg)
-    det, det_stats = check_taint(graph, cfg, line_suppressed)
-    lck, lck_stats = check_locks(graph, cfg, line_suppressed)
-    sim, sim_stats = check_simapi(graph, cfg, line_suppressed)
+    det, det_stats = check_taint(graph, source_silenced)
+    lck, lck_stats = check_locks(graph)
+    sim, sim_stats = check_simapi(graph)
     issues.extend(pur)
     issues.extend(det)
     issues.extend(lck)
@@ -225,9 +215,8 @@ def analyze(
             )
         )
 
-    # Apply noqa-flow suppressions.
     for issue in issues:
-        entry = flow_noqa.get(issue.path, {}).get(issue.line)
+        entry = noqa[issue.path].get(issue.line)
         if entry is not None and issue.code in entry[0]:
             entry[1] = True
             continue
@@ -244,22 +233,23 @@ def analyze(
             )
         )
 
-    # FLW003: stale noqa-flow comments.
-    for path, entries in sorted(flow_noqa.items()):
+    # SUP401: a noqa naming one of our codes that silenced nothing.
+    for path, entries in sorted(noqa.items()):
         for line, (codes, used) in sorted(entries.items()):
-            if used:
+            ours = sorted(codes & FLOW_RULES.keys())
+            if used or not ours:
                 continue
             findings.append(
                 FlowFinding(
-                    code="FLW003",
+                    code="SUP401",
                     path=path,
                     rel=_relpath(path, root_path),
                     line=line,
-                    message=f"noqa-flow ({','.join(sorted(codes))}) suppresses "
-                    "no finding on this line; remove it",
+                    message=f"noqa ({','.join(ours)}) suppresses no finding "
+                    "on this line; remove the stale suppression",
                     severity=SEVERITY_WARNING,
                     scope="<module>",
-                    slug=f"stale:{','.join(sorted(codes))}",
+                    slug=f"stale:{','.join(ours)}",
                 )
             )
 
@@ -267,7 +257,12 @@ def analyze(
     elapsed = time.perf_counter() - started  # noqa: DET102 host timing
     stats["elapsed_ms"] = int(elapsed * 1000)
     stats["findings"] = len(findings)
-    return FlowReport(root=str(root_path), findings=findings, stats=stats)
+    return FlowReport(
+        root=str(root_path),
+        findings=findings,
+        stats=stats,
+        sources={mod.path: mod.source for mod in index.modules.values()},
+    )
 
 
 # -- CLI driver --------------------------------------------------------------
@@ -289,6 +284,32 @@ def _stale_finding(entry: BaselineEntry, root: str) -> FlowFinding:
     )
 
 
+def _fix_suppressions(report: FlowReport, out) -> int:
+    """Strip every noqa comment SUP401 reports, rewriting files in place.
+
+    A noqa that still silences one of its codes never fires SUP401, so
+    it is left alone even when another listed code is stale.
+    """
+    stale: Dict[str, List[FlowFinding]] = {}
+    for finding in report.findings:
+        if finding.code == "SUP401":
+            stale.setdefault(finding.path, []).append(finding)
+    for path, found in sorted(stale.items()):
+        lines = report.sources[path].split("\n")
+        for finding in found:
+            raw = lines[finding.line - 1]
+            match = _NOQA_RE.search(raw)
+            lines[finding.line - 1] = raw[: match.start()].rstrip()
+            out.write(
+                f"{finding.rel}:{finding.line}: removed stale "
+                f"`{raw[match.start():].strip()}`\n"
+            )
+        Path(path).write_text("\n".join(lines), encoding="utf-8")
+    removed = sum(len(found) for found in stale.values())
+    out.write(f"removed {removed} stale suppression(s) in {len(stale)} file(s)\n")
+    return 0
+
+
 def run_flow(
     root: Optional[str] = None,
     strict: bool = False,
@@ -296,10 +317,11 @@ def run_flow(
     fmt: str = "text",
     baseline: Optional[str] = None,
     write_baseline: Optional[str] = None,
+    fix_suppressions: bool = False,
     out=None,
     config: Optional[FlowConfig] = None,
 ) -> int:
-    """CLI driver for ``repro-nfs flow`` (and ``lint --deep``)."""
+    """CLI driver for ``repro-nfs flow``."""
     if out is None:
         out = sys.stdout
     selected: Optional[Set[str]] = None
@@ -314,6 +336,9 @@ def run_flow(
 
     report = analyze(root, config=config)
     findings = report.findings
+
+    if fix_suppressions:
+        return _fix_suppressions(report, out)
 
     if write_baseline:
         # Carry forward justifications for entries that survive the

@@ -17,14 +17,31 @@
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .callgraph import UNKNOWN, CallGraph
-from .config import FlowConfig
 from .effects import FlowIssue, _is_schedule_edge
-from .taint import _dotted
+from .syntactic import _dotted
 
 __all__ = ["check_locks"]
+
+#: Blocking / forbidden calls inside event handlers (LCK702), matched
+#: against the dotted syntactic callee (plus a bare ``open``).
+BLOCKING_CALLS = frozenset(
+    {
+        "time.sleep",
+        "os.system",
+        "os.popen",
+        "subprocess.run",
+        "subprocess.Popen",
+        "subprocess.call",
+        "subprocess.check_call",
+        "subprocess.check_output",
+        "socket.socket",
+        "input",
+        "open",
+    }
+)
 
 
 def _finally_lines(fn_node: ast.AST) -> Set[int]:
@@ -40,9 +57,7 @@ def _finally_lines(fn_node: ast.AST) -> Set[int]:
     return lines
 
 
-def _check_break_reacquire(
-    graph: CallGraph, config: FlowConfig, line_suppressed
-) -> List[FlowIssue]:
+def _check_break_reacquire(graph: CallGraph) -> List[FlowIssue]:
     issues: List[FlowIssue] = []
     for qualname, fn in graph.index.functions.items():
         edges = graph.edges(qualname)
@@ -60,8 +75,6 @@ def _check_break_reacquire(
                             callee_has = True
             if not callee_has:
                 for b in breaks:
-                    if line_suppressed(fn.path, b.line):
-                        continue
                     issues.append(
                         FlowIssue(
                             "LCK701",
@@ -76,44 +89,40 @@ def _check_break_reacquire(
             continue
         fin = _finally_lines(fn.node)
         if fin and all(r.line not in fin for r in reacquires):
-            b = breaks[0]
-            if not line_suppressed(fn.path, b.line):
-                issues.append(
-                    FlowIssue(
-                        "LCK701",
-                        fn.path,
-                        b.line,
-                        f"`reacquire` in {qualname} is outside any `finally`;"
-                        f" an exception after `break_all()` leaks the lock",
-                        qualname,
-                        "reacquire-not-in-finally",
-                    )
+            issues.append(
+                FlowIssue(
+                    "LCK701",
+                    fn.path,
+                    breaks[0].line,
+                    f"`reacquire` in {qualname} is outside any `finally`;"
+                    f" an exception after `break_all()` leaks the lock",
+                    qualname,
+                    "reacquire-not-in-finally",
                 )
+            )
         elif not fin:
-            b = breaks[0]
-            if not line_suppressed(fn.path, b.line):
-                issues.append(
-                    FlowIssue(
-                        "LCK701",
-                        fn.path,
-                        b.line,
-                        f"`break_all()`/`reacquire` pair in {qualname} is not"
-                        f" protected by try/finally",
-                        qualname,
-                        "no-try-finally",
-                    )
+            issues.append(
+                FlowIssue(
+                    "LCK701",
+                    fn.path,
+                    breaks[0].line,
+                    f"`break_all()`/`reacquire` pair in {qualname} is not"
+                    f" protected by try/finally",
+                    qualname,
+                    "no-try-finally",
                 )
+            )
     return issues
 
 
-def _handler_roots(graph: CallGraph, config: FlowConfig) -> Set[str]:
+def _handler_roots(graph: CallGraph) -> Set[str]:
     """Event-handler roots: generator coroutines + scheduled callbacks."""
     roots: Set[str] = {
         q for q, fn in graph.index.functions.items() if fn.is_generator
     }
     for qualname in graph.index.functions:
         for edge in graph.edges(qualname):
-            if not _is_schedule_edge(edge, config):
+            if not _is_schedule_edge(edge):
                 continue
             for ref in edge.arg_refs:
                 if ref is not None and ref.kind == UNKNOWN and ref.name in graph.index.functions:
@@ -121,18 +130,15 @@ def _handler_roots(graph: CallGraph, config: FlowConfig) -> Set[str]:
     return roots
 
 
-def _check_blocking(
-    graph: CallGraph, config: FlowConfig, line_suppressed
-) -> Tuple[List[FlowIssue], Dict[str, int]]:
-    roots = _handler_roots(graph, config)
+def _check_blocking(graph: CallGraph) -> Tuple[List[FlowIssue], Dict[str, int]]:
+    roots = _handler_roots(graph)
     reachable = graph.reachable(sorted(roots))
     issues: List[FlowIssue] = []
     for qualname in sorted(reachable):
         fn = graph.index.functions[qualname]
         for edge in graph.edges(qualname):
             dotted = _dotted(edge.node.func)
-            blocked = dotted in config.blocking_calls or dotted == "open"
-            if not blocked or line_suppressed(fn.path, edge.line):
+            if dotted not in BLOCKING_CALLS:
                 continue
             issues.append(
                 FlowIssue(
@@ -150,12 +156,8 @@ def _check_blocking(
     return issues, stats
 
 
-def check_locks(
-    graph: CallGraph,
-    config: FlowConfig,
-    line_suppressed: Callable[[str, int], bool],
-) -> Tuple[List[FlowIssue], Dict[str, int]]:
-    issues = _check_break_reacquire(graph, config, line_suppressed)
-    blocking, stats = _check_blocking(graph, config, line_suppressed)
+def check_locks(graph: CallGraph) -> Tuple[List[FlowIssue], Dict[str, int]]:
+    issues = _check_break_reacquire(graph)
+    blocking, stats = _check_blocking(graph)
     issues.extend(blocking)
     return issues, stats

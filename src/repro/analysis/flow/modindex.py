@@ -119,6 +119,8 @@ class ModuleInfo:
     name: str
     path: str
     tree: ast.Module
+    #: The text ``tree`` was parsed from (read once per run).
+    source: str
     #: local alias -> absolute module name (``import repro.sim as s``).
     imports: Dict[str, str] = field(default_factory=dict)
     #: local name -> absolute dotted target (``from .sim import RngStreams``).
@@ -477,7 +479,7 @@ def build_index(
         except OSError as err:
             index.failures.append(SyntaxFailure(str(path), 1, str(err)))
             continue
-        mod = ModuleInfo(name=mod_name, path=str(path), tree=tree)
+        mod = ModuleInfo(name=mod_name, path=str(path), tree=tree, source=source)
         index.modules[mod_name] = mod
         collector = _ModuleCollector(index, mod, is_package=path.name == "__init__.py")
         collector.visit(tree)

@@ -17,10 +17,9 @@
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .callgraph import LOCAL, SELF, CallGraph
-from .config import FlowConfig
 from .effects import FlowIssue, _is_schedule_edge
 
 __all__ = ["check_simapi"]
@@ -63,11 +62,7 @@ def _delay_arg(call: ast.Call) -> Optional[ast.AST]:
     return None
 
 
-def check_simapi(
-    graph: CallGraph,
-    config: FlowConfig,
-    line_suppressed: Callable[[str, int], bool],
-) -> Tuple[List[FlowIssue], Dict[str, int]]:
+def check_simapi(graph: CallGraph) -> Tuple[List[FlowIssue], Dict[str, int]]:
     issues: List[FlowIssue] = []
     dropped = 0
     for qualname, fn in graph.index.functions.items():
@@ -78,9 +73,7 @@ def check_simapi(
             if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
         }
         for edge in graph.edges(qualname):
-            if line_suppressed(fn.path, edge.line):
-                continue
-            if _is_schedule_edge(edge, config):
+            if _is_schedule_edge(edge):
                 if edge.callee_name == "call_after":
                     delay = _delay_arg(edge.node)
                     value = _const_fold(delay) if delay is not None else None

@@ -1,13 +1,13 @@
 """Interprocedural nondeterminism taint (DET15x).
 
-Sources (per call site, unless the line carries a ``# noqa`` for the
-matching syntactic DET10x rule or a ``# noqa-flow`` scope):
+Sources (per call site, unless the line carries a ``# noqa`` naming a
+DET code, such as the ``# noqa: DET102`` on a host-side timer):
 
-* ``rng`` — module-level ``random.*`` draws,
-* ``clock`` — wall-clock reads (``time.time`` …, per config),
+* ``rng`` — unseeded RNG draws (exactly what DET101 flags),
+* ``clock`` — wall-clock reads (exactly what DET102 flags),
 * ``id`` — ``id(...)`` of an object,
 * ``set-order`` — values whose *order* derives from set iteration
-  (``list({...})``, ``for x in set(...)``).
+  (``list({...})``, ``for x in set(...)``; DET103's set predicate).
 
 The lattice is a small powerset of those kinds. Taint moves through
 local assignments, function returns (with a pass-through bit for
@@ -26,64 +26,32 @@ Sinks:
 * **DET152** (error) — tainted argument to simulator scheduling,
 * **DET153** (warning) — tainted value stored into object state.
 
-This pass subsumes the per-file DET101–DET104 rules for flows that
-cross function boundaries; the syntactic rules remain as the fast
-first line.
+This pass follows the per-module DET101–DET104 hazards
+(:mod:`.syntactic`) across function boundaries.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .callgraph import CallGraph, FunctionContext, classify
-from .config import FlowConfig
 from .effects import FlowIssue, _is_schedule_edge
+from .syntactic import ORDER_INSENSITIVE_FNS, is_set_expr, unseeded_rng, wall_clock
 
 __all__ = ["check_taint", "TAINT_KINDS"]
 
 TAINT_KINDS = ("rng", "clock", "id", "set-order")
 
-#: Order-insensitive consumers: set-order taint dies here.
-_ORDER_KILLERS = frozenset(
-    ["sorted", "min", "max", "sum", "any", "all", "set", "frozenset"]
-)
 #: Consumers whose result carries no input taint at all.
 _FULL_KILLERS = frozenset(["len", "bool", "isinstance", "hasattr", "type"])
 
-
-def _dotted(func: ast.AST) -> str:
-    parts: List[str] = []
-    node = func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
-#: random-module functions that *draw* from the process-global RNG.
-#: ``random.Random(seed)`` constructs a seeded stream and is clean.
-_GLOBAL_RNG_DRAWS = frozenset(
-    [
-        "random", "randint", "randrange", "randbytes", "getrandbits",
-        "choice", "choices", "shuffle", "sample", "uniform", "gauss",
-        "normalvariate", "expovariate", "triangular", "betavariate",
-        "paretovariate", "vonmisesvariate", "weibullvariate",
-        "lognormvariate",
-    ]
+#: Functions whose call fingerprints state (DET151 sinks), matched
+#: by final qualname component.
+FINGERPRINT_CALLS = frozenset(
+    {"_fingerprint", "fingerprint", "fingerprint_events", "digest"}
 )
-
-
-def _is_set_valued(expr: ast.AST) -> bool:
-    if isinstance(expr, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
-        return expr.func.id in ("set", "frozenset")
-    return False
 
 
 @dataclass
@@ -96,12 +64,10 @@ class _TaintPass:
     def __init__(
         self,
         graph: CallGraph,
-        config: FlowConfig,
-        line_suppressed: Callable[[str, int], bool],
+        source_silenced: Callable[[str, int], bool],
     ):
         self.graph = graph
-        self.config = config
-        self.line_suppressed = line_suppressed
+        self.source_silenced = source_silenced
         self.attr_map: Dict[Tuple[str, str], Set[str]] = {}
         self.summaries: Dict[str, _FnSummary] = {
             q: _FnSummary() for q in graph.index.functions
@@ -111,17 +77,13 @@ class _TaintPass:
     # -- sources ------------------------------------------------------
 
     def _source_kinds(self, call: ast.Call, path: str) -> Set[str]:
-        if self.line_suppressed(path, call.lineno):
+        if self.source_silenced(path, call.lineno):
             return set()
-        func = call.func
-        dotted = _dotted(func)
-        if (
-            dotted.startswith("random.")
-            and dotted.rsplit(".", 1)[-1] in _GLOBAL_RNG_DRAWS
-        ):
+        if unseeded_rng(call) is not None:
             return {"rng"}
-        if dotted in self.config.clock_calls:
+        if wall_clock(call) is not None:
             return {"clock"}
+        func = call.func
         if isinstance(func, ast.Name) and func.id == "id" and call.args:
             return {"id"}
         return set()
@@ -140,14 +102,14 @@ class _TaintPass:
             for arg in expr.args:
                 inner = arg.value if isinstance(arg, ast.Starred) else arg
                 arg_taint |= self._expr(inner, env, ctx)
-                if _is_set_valued(inner):
+                if is_set_expr(inner):
                     arg_taint.add("set-order")
             for kw in expr.keywords:
                 arg_taint |= self._expr(kw.value, env, ctx)
             name = expr.func.id if isinstance(expr.func, ast.Name) else expr.func.attr if isinstance(expr.func, ast.Attribute) else ""
             if name in _FULL_KILLERS:
                 return set()
-            if name in _ORDER_KILLERS:
+            if name in ORDER_INSENSITIVE_FNS:
                 return arg_taint - {"set-order"}
             if name in ("list", "tuple"):
                 return arg_taint
@@ -226,7 +188,7 @@ class _TaintPass:
         out: Set[str] = set()
         for gen in generators:
             out |= self._expr(gen.iter, env, ctx)
-            if _is_set_valued(gen.iter):
+            if is_set_expr(gen.iter):
                 out.add("set-order")
         return out
 
@@ -278,8 +240,6 @@ class _TaintPass:
             for node in body_nodes:
                 if isinstance(node, ast.Assign):
                     kinds = self._expr(node.value, env, ctx)
-                    if _is_set_valued(node.value):
-                        pass  # a set object itself is fine; iteration taints
                     for t in node.targets:
                         if isinstance(t, ast.Name):
                             env.setdefault(t.id, set()).update(kinds)
@@ -293,7 +253,7 @@ class _TaintPass:
                     env.setdefault(node.target.id, set()).update(kinds)
                 elif isinstance(node, ast.For):
                     kinds = self._expr(node.iter, env, ctx)
-                    if _is_set_valued(node.iter) and not self.line_suppressed(
+                    if is_set_expr(node.iter) and not self.source_silenced(
                         fn.path, node.iter.lineno
                     ):
                         kinds = kinds | {"set-order"}
@@ -334,7 +294,7 @@ class _TaintPass:
                     if kinds - have:
                         have |= kinds
                         changed = True
-                if report is not None and grounded and not self.line_suppressed(fn.path, leaf.lineno):
+                if report is not None and grounded:
                     owner = sorted(classes)[0].rsplit(".", 1)[-1] if classes else "?"
                     report.append(
                         FlowIssue(
@@ -357,9 +317,9 @@ class _TaintPass:
                     arg_kinds |= self._expr(inner, env, ctx)
                 for kw in edge.node.keywords:
                     arg_kinds |= self._expr(kw.value, env, ctx)
-                if not arg_kinds or self.line_suppressed(fn.path, edge.line):
+                if not arg_kinds:
                     continue
-                if _is_schedule_edge(edge, self.config):
+                if _is_schedule_edge(edge):
                     report.append(
                         FlowIssue(
                             "DET152",
@@ -371,7 +331,7 @@ class _TaintPass:
                             f"sched:{edge.callee_name}:{'+'.join(sorted(arg_kinds))}",
                         )
                     )
-                elif edge.callee_name in self.config.fingerprint_calls:
+                elif edge.callee_name in FINGERPRINT_CALLS:
                     report.append(
                         FlowIssue(
                             "DET151",
@@ -388,12 +348,15 @@ class _TaintPass:
 
 def check_taint(
     graph: CallGraph,
-    config: FlowConfig,
-    line_suppressed: Callable[[str, int], bool],
+    source_silenced: Callable[[str, int], bool],
     max_rounds: int = 8,
 ) -> Tuple[List[FlowIssue], Dict[str, int]]:
-    """Run the DET15x whole-program taint pass."""
-    tp = _TaintPass(graph, config, line_suppressed)
+    """Run the DET15x whole-program taint pass.
+
+    ``source_silenced(path, line)`` is true where a ``# noqa`` naming a
+    DET code silences the line's taint sources.
+    """
+    tp = _TaintPass(graph, source_silenced)
     order = sorted(graph.index.functions)
     for _ in range(max_rounds):
         changed = False

@@ -1,16 +1,16 @@
-"""Simulation sanitizer suite: static linter + runtime checkers.
+"""Simulation sanitizer suite: the runtime checkers.
 
-* :mod:`.lint` — AST-based determinism linter (``repro-nfs lint``),
 * :mod:`.lockcheck` — lock-order / deadlock / FIFO / depth sanitizer,
 * :mod:`.racecheck` — BKL discipline checks on request-list mutations,
 * :mod:`.invariants` — accounting, durability, and FIFO wake audits,
 * :mod:`.runtime` — the ``sanitized()`` session TestBeds attach to.
 
-See ``docs/static-analysis.md`` for the rule catalogue and flags.
+The static rules (determinism, pure-observer, lock discipline) are
+:mod:`repro.analysis.flow` (``repro-nfs flow``); see
+``docs/static-analysis.md`` for both.
 """
 
 from .invariants import FifoSanitizer, audit_accounting, audit_stable_bytes
-from .lint import RULES, LintFinding, Rule, lint_paths, lint_source, run_lint
 from .lockcheck import LockOrderSanitizer
 from .racecheck import RaceSanitizer
 from .report import RuntimeFinding, group_findings
@@ -24,12 +24,6 @@ from .runtime import (
 )
 
 __all__ = [
-    "Rule",
-    "RULES",
-    "LintFinding",
-    "lint_source",
-    "lint_paths",
-    "run_lint",
     "RuntimeFinding",
     "group_findings",
     "LockOrderSanitizer",

@@ -1,6 +1,6 @@
 """The finding record shared by every runtime sanitizer.
 
-Static-analysis findings (:class:`~repro.analysis.sanitize.lint.LintFinding`)
+Static-analysis findings (:class:`~repro.analysis.flow.FlowFinding`)
 carry file/line coordinates; runtime findings carry a category and the
 simulated time at which the property was violated.  Categories group
 findings into the three scenario-level invariants the ``--sanitize``

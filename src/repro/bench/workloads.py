@@ -14,7 +14,7 @@ the promoted example workloads (``examples/*.py`` are thin wrappers
 now), and the open-loop traffic sessions of :mod:`repro.traffic` all
 implement the same protocol, replacing the four parallel entry points
 that predated it (free functions here, ``FleetWorkload``'s hardwired
-writer, ``Topology.run_sequential_write``, and copy-pasted example
+writer, a ``Topology`` sequential-write method, and copy-pasted example
 bodies).
 
 A workload body is a generator that returns ``(start_ns, end_ns,
@@ -229,8 +229,8 @@ def run_client_workload(
     """Run one workload on one topology client to completion (blocking).
 
     Returns the ``(start_ns, end_ns, result)`` triple.  This is the
-    blocking single-client path ``Topology.run_sequential_write`` and
-    ``TestBed.run_sequential_write`` now delegate to.
+    blocking single-client path ``Topology.run_workload`` and
+    ``TestBed.run_sequential_write`` delegate to.
     """
     stack = topology.clients[client]
     task = topology.sim.spawn(

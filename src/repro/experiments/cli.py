@@ -19,8 +19,8 @@ Examples::
     repro-nfs metrics fig1               # prometheus text to stdout
     repro-nfs report obs-fig1            # ASCII dashboard from a bundle
     repro-nfs report fleet --html fleet.html
-    repro-nfs lint --strict
-    repro-nfs lint src/repro/sim --select DET101,DEAD301
+    repro-nfs flow --strict --baseline flow-baseline.json
+    repro-nfs flow --select DET101,DEAD301
 """
 
 from __future__ import annotations
@@ -309,54 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
         "name",
         help="experiment id (fig1..fig7, tab1) or scenario .json path",
     )
-    lint = sub.add_parser(
-        "lint",
-        help="run the determinism linter over the simulator sources",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=None,
-        help="files or directories to lint (default: the repro package)",
-    )
-    lint.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on warnings too, and flag unused noqa suppressions",
-    )
-    lint.add_argument(
-        "--select",
-        default=None,
-        metavar="CODES",
-        help="comma-separated rule codes to check (default: all)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        dest="fmt",
-        help="output format (default: text)",
-    )
-    lint.add_argument(
-        "--deep",
-        action="store_true",
-        help="also run the whole-program flow analysis (repro-nfs flow)",
-    )
-    lint.add_argument(
-        "--fix-suppressions",
-        action="store_true",
-        help="remove stale noqa comments flagged by SUP401 (dry-run "
-        "unless --write)",
-    )
-    lint.add_argument(
-        "--write",
-        action="store_true",
-        help="with --fix-suppressions: rewrite files in place",
-    )
     flow = sub.add_parser(
         "flow",
-        help="whole-program flow analysis: prove the pure-observer, "
-        "determinism-taint, lock-discipline, and sim-API contracts",
+        help="static analysis: the determinism rules plus the "
+        "pure-observer, determinism-taint, lock-discipline, and sim-API "
+        "contracts",
     )
     flow.add_argument(
         "root",
@@ -367,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument(
         "--strict",
         action="store_true",
-        help="fail on warnings too",
+        help="fail on warnings too (stale noqa suppressions included)",
     )
     flow.add_argument(
         "--select",
         default=None,
         metavar="CODES",
-        help="comma-separated flow rule codes to report (default: all)",
+        help="comma-separated rule codes to report (default: all)",
     )
     flow.add_argument(
         "--format",
@@ -394,6 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="write the current findings as a fresh baseline and exit 0",
+    )
+    flow.add_argument(
+        "--fix-suppressions",
+        action="store_true",
+        help="remove the stale noqa comments SUP401 reports, rewriting "
+        "files in place",
     )
     return parser
 
@@ -994,29 +957,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_report(args.target, html=args.html)
     if args.command == "metrics":
         return print_metrics(args.name)
-    if args.command == "lint":
-        from ..analysis.sanitize.lint import fix_suppressions, run_lint
-
-        if args.fix_suppressions:
-            return fix_suppressions(args.paths or None, write=args.write)
-        rc = run_lint(
-            args.paths or None, strict=args.strict, select=args.select, fmt=args.fmt
-        )
-        if args.deep:
-            from pathlib import Path
-
-            from ..analysis.flow import run_flow
-
-            # Honour a committed baseline in the working directory so
-            # `lint --deep` matches what the CI flow job enforces.
-            baseline = "flow-baseline.json"
-            deep_rc = run_flow(
-                strict=args.strict,
-                fmt=args.fmt,
-                baseline=baseline if Path(baseline).exists() else None,
-            )
-            rc = max(rc, deep_rc)
-        return rc
     if args.command == "flow":
         from ..analysis.flow import run_flow
 
@@ -1027,6 +967,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             fmt=args.fmt,
             baseline=args.baseline,
             write_baseline=args.write_baseline,
+            fix_suppressions=args.fix_suppressions,
         )
     if args.command == "list":
         for experiment_id in experiment_ids():

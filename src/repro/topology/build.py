@@ -19,10 +19,8 @@ is now a thin shim over it.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..bench.bonnie import BenchmarkResult
 from ..config import ClientHwConfig, MountConfig, NetConfig, NfsClientConfig
 from ..errors import ConfigError
 from ..kernel.pagecache import PageCache
@@ -232,39 +230,6 @@ class Topology:
 
     def server(self, index: int = 0):
         return self.servers[index]
-
-    def run_sequential_write(
-        self,
-        file_bytes: int,
-        chunk_bytes: int = 8192,
-        do_fsync: bool = True,
-        time_limit_ns: Optional[int] = None,
-        client: int = 0,
-    ) -> BenchmarkResult:
-        """Deprecated: run the sequential-write workload on one client.
-
-        A bit-identical shim over the workload registry — use
-        ``run_workload("sequential-write", ...)`` instead.  Fleet runs
-        — every client writing concurrently — live in
-        :class:`repro.topology.fleet.FleetWorkload`.
-        """
-        warnings.warn(
-            "Topology.run_sequential_write is deprecated; use "
-            'Topology.run_workload("sequential-write", ...) instead',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run_workload(
-            "sequential-write",
-            {
-                "file_bytes": file_bytes,
-                "chunk_bytes": chunk_bytes,
-                "do_fsync": do_fsync,
-                "file_name": "testfile",
-            },
-            time_limit_ns=time_limit_ns,
-            client=client,
-        )
 
     def run_workload(
         self,

@@ -40,7 +40,6 @@ __all__ = [
     "FleetResult",
     "FleetJobSpec",
     "FleetPointResult",
-    "fleet_client_body",
     "client_row",
     "server_rows",
     "reduce_fleet",
@@ -247,27 +246,6 @@ class FleetWorkload:
             servers=server_rows(topo),
             rows=rows,
         )
-
-
-def fleet_client_body(stack, offset_ns: int, chunk_bytes: int, file_bytes: int, do_fsync: bool):
-    """Deprecated: the pre-registry fleet writer signature.
-
-    Kept as a bit-identical shim over the registered sequential-write
-    workload; new code should go through the registry
-    (:func:`repro.bench.workloads.get_workload` +
-    :func:`repro.bench.workloads.client_workload_body`).
-    """
-    from ..bench.workloads import client_workload_body, get_workload
-
-    workload = get_workload(
-        "sequential-write",
-        {
-            "file_bytes": file_bytes,
-            "chunk_bytes": chunk_bytes,
-            "do_fsync": do_fsync,
-        },
-    )
-    return client_workload_body(stack, workload, offset_ns)
 
 
 def server_rows(topo: Topology) -> List[Dict[str, Any]]:

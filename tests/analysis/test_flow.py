@@ -202,6 +202,30 @@ def test_det151_taint_flows_through_returns(tmp_path):
     assert "DET151" in codes(report)
 
 
+@pytest.mark.parametrize(
+    "imports, source",
+    [
+        ("import random", "random.gammavariate(2.0, 1.0)"),
+        ("from datetime import datetime", "datetime.now()"),
+    ],
+)
+def test_det151_every_syntactic_source_taints(tmp_path, imports, source):
+    # Taint sources are exactly the calls DET101/DET102 flag.
+    src = textwrap.dedent(
+        f"""
+        {imports}
+
+        def fingerprint(x):
+            return hash(x)
+
+        def stamp():
+            return fingerprint({source})
+        """
+    )
+    report = analyze_pkg(tmp_path, {"sim.py": SIM_PY, "det.py": src})
+    assert "DET151" in codes(report)
+
+
 def test_det152_rng_taint_reaches_scheduler(tmp_path):
     src = textwrap.dedent(
         """
@@ -414,7 +438,7 @@ def test_sim603_not_flagged_when_iterated(tmp_path):
     assert "SIM603" not in codes(report)
 
 
-# -- FLW00x: syntax, suppressions, baseline hygiene ---------------------------
+# -- FLW00x / SUP401: syntax, suppressions, baseline hygiene ------------------
 
 
 def test_flw001_reports_unparsable_file(tmp_path):
@@ -431,12 +455,12 @@ def test_noqa_flow_suppresses_named_code(tmp_path):
             yield 1
 
         def run():
-            work()  # noqa-flow: SIM603
+            work()  # noqa: SIM603
         """
     )
     report = analyze_pkg(tmp_path, {"sim.py": SIM_PY, "use.py": src})
     assert "SIM603" not in codes(report)
-    assert "FLW003" not in codes(report)
+    assert "SUP401" not in codes(report)
 
 
 def test_noqa_flow_wrong_code_does_not_suppress(tmp_path):
@@ -446,20 +470,20 @@ def test_noqa_flow_wrong_code_does_not_suppress(tmp_path):
             yield 1
 
         def run():
-            work()  # noqa-flow: LCK701
+            work()  # noqa: LCK701
         """
     )
     report = analyze_pkg(tmp_path, {"sim.py": SIM_PY, "use.py": src})
     found = codes(report)
     assert "SIM603" in found
     # The unused suppression itself goes stale.
-    assert "FLW003" in found
+    assert "SUP401" in found
 
 
 def test_flw003_stale_noqa_flow(tmp_path):
-    src = "X = 1  # noqa-flow: SIM601\n"
+    src = "X = 1  # noqa: SIM601\n"
     report = analyze_pkg(tmp_path, {"sim.py": SIM_PY, "use.py": src})
-    found = [f for f in report.findings if f.code == "FLW003"]
+    found = [f for f in report.findings if f.code == "SUP401"]
     assert found and "SIM601" in found[0].message
 
 
@@ -616,12 +640,17 @@ def test_run_flow_warnings_fail_only_under_strict(tmp_path):
         """
     )
     root = build_pkg(tmp_path, {"sim.py": SIM_PY, "det.py": src})
+    # The clock read is also a DET102 error; select the warning under test.
     rc = run_flow(
-        root=str(root), out=io.StringIO(), config=fixture_config()
+        root=str(root), select="DET153", out=io.StringIO(), config=fixture_config()
     )
     assert rc == 0
     rc = run_flow(
-        root=str(root), strict=True, out=io.StringIO(), config=fixture_config()
+        root=str(root),
+        strict=True,
+        select="DET153",
+        out=io.StringIO(),
+        config=fixture_config(),
     )
     assert rc == 1
 
@@ -681,11 +710,10 @@ def test_run_flow_json_payload_is_schema_stable(tmp_path):
 # -- self-analysis: the repository is its own fixture -------------------------
 
 
-def test_repo_has_no_pur501_errors():
+def test_repo_has_no_pur501_errors(repo_report):
     # The headline contract: no observer-reachable write to non-observer
     # state anywhere in the tree, without any baseline help.
-    report = analyze()
-    assert [f.render() for f in report.findings if f.code == "PUR501"] == []
+    assert [f.render() for f in repo_report.findings if f.code == "PUR501"] == []
 
 
 def test_repo_is_clean_under_committed_baseline():
@@ -699,9 +727,8 @@ def test_repo_is_clean_under_committed_baseline():
     assert rc == 0, out.getvalue()
 
 
-def test_repo_analysis_is_fast_enough():
-    report = analyze()
-    assert report.stats["elapsed_ms"] < 30_000
+def test_repo_analysis_is_fast_enough(repo_report):
+    assert repo_report.stats["elapsed_ms"] < 30_000
 
 
 def test_rule_table_is_consistent():

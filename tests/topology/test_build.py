@@ -91,7 +91,7 @@ def test_per_client_mount_and_variant():
 
 def test_run_sequential_write_targets_one_client():
     topo = Topology(clients=2)
-    result = topo.run_sequential_write(64 * KIB, client=1)
+    result = topo.run_workload("sequential-write", {"file_bytes": 64 * KIB}, client=1)
     assert result.file_bytes == 64 * KIB
     # Only client1's file landed on the server.
     assert topo.server().bytes_received >= 64 * KIB

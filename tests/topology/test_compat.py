@@ -82,18 +82,18 @@ def test_mismatched_legacy_kwarg_is_an_error():
 
 
 def test_testbed_bit_identical_to_one_client_topology():
+    params = {"file_bytes": 256 * KIB, "file_name": "testfile"}
     for target in ("netapp", "linux", "local"):
         bed = TestBed(target=target)
         via_shim = _result_tuple(bed.run_sequential_write(256 * KIB))
         topo = Topology(clients=1, servers=(ServerSpec(target),))
-        with pytest.warns(DeprecationWarning, match="run_workload"):
-            direct = _result_tuple(topo.run_sequential_write(256 * KIB))
+        direct = _result_tuple(topo.run_workload("sequential-write", params))
         assert via_shim == direct, target
 
 
-#: The shim's exact timings, pinned: (write, flush, close elapsed ns,
-#: first 16 hex chars of the latency-trace digest).  These are the
-#: bit-for-bit compatibility contract for the deprecated
+#: The sequential writer's exact timings, pinned: (write, flush, close
+#: elapsed ns, first 16 hex chars of the latency-trace digest).  These
+#: are the bit-for-bit compatibility contract for the
 #: ``run_sequential_write`` surface across the workload-registry
 #: redesign — a change here is a behaviour change, not a refactor.
 PINNED_SEQUENTIAL_WRITE = {
@@ -114,14 +114,6 @@ def _pin_tuple(result):
         result.close_elapsed_ns,
         digest,
     )
-
-
-def test_deprecated_shim_fingerprints_pinned():
-    for target, pinned in PINNED_SEQUENTIAL_WRITE.items():
-        topo = Topology(clients=1, servers=(ServerSpec(target),))
-        with pytest.warns(DeprecationWarning):
-            result = topo.run_sequential_write(256 * KIB)
-        assert _pin_tuple(result) == pinned, target
 
 
 def test_run_workload_matches_deprecated_shim():
@@ -145,30 +137,6 @@ def test_fleet_fingerprint_pinned():
 
     spec = FleetJobSpec.homogeneous(4, target="netapp", file_bytes=96 * KIB)
     assert run_fleet_job(spec).run_fingerprint() == PINNED_FLEET_FINGERPRINT
-
-
-def test_fleet_client_body_shim_matches_registry():
-    """The legacy per-client writer generator is a bit-identical shim."""
-    from repro.bench.workloads import client_workload_body, get_workload
-    from repro.topology.fleet import fleet_client_body
-
-    def run(body_factory):
-        topo = Topology(clients=1, servers=(ServerSpec("netapp"),))
-        stack = topo.clients[0]
-        task = topo.sim.spawn(body_factory(stack), daemon=True)
-        topo.sim.run_until(lambda: task.done)
-        assert task.error is None
-        return task.result
-
-    legacy = run(
-        lambda stack: fleet_client_body(stack, 0, 8192, 96 * KIB, True)
-    )
-    workload = get_workload(
-        "sequential-write", {"file_bytes": 96 * KIB, "chunk_bytes": 8192}
-    )
-    registry = run(lambda stack: client_workload_body(stack, workload))
-    assert legacy[0] == registry[0] and legacy[1] == registry[1]
-    assert _result_tuple(legacy[2]) == _result_tuple(registry[2])
 
 
 def test_legacy_net_inheritance_reaches_the_server():
