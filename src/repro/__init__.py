@@ -21,47 +21,66 @@ Quickstart::
     print("spikes:", len(result.trace.spikes()))
 """
 
-from .bench import BenchmarkResult, LatencyTrace, TestBed, latency_histogram
-from .config import (
-    ClientHwConfig,
-    CpuCosts,
-    FilerConfig,
-    LinuxServerConfig,
-    LocalFsConfig,
-    MountConfig,
-    NetConfig,
-    NfsClientConfig,
-    scaled,
-)
-from .cache import ResultCache
-from .experiments import ExecutionContext, experiment_ids, get_experiment
-from .nfsclient import VARIANTS, variant_config
-from .parallel import JobSpec, PointResult, SweepExecutor
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "TestBed",
-    "BenchmarkResult",
-    "LatencyTrace",
-    "latency_histogram",
-    "ClientHwConfig",
-    "CpuCosts",
-    "MountConfig",
-    "NetConfig",
-    "NfsClientConfig",
-    "FilerConfig",
-    "LinuxServerConfig",
-    "LocalFsConfig",
-    "scaled",
-    "VARIANTS",
-    "variant_config",
-    "experiment_ids",
-    "get_experiment",
-    "ExecutionContext",
-    "JobSpec",
-    "PointResult",
-    "SweepExecutor",
-    "ResultCache",
-    "__version__",
-]
+
+def _lazy_surface(package, exports):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a package whose
+    public names live in its submodules.
+
+    ``exports`` maps each name to the relative submodule that defines
+    it.  Nothing is imported until a name is first read; the value is
+    then kept in the package, so later reads are plain lookups.
+    """
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__
+
+
+#: Public name -> the submodule that defines it.  ``import repro.sim``
+#: thus loads the event kernel alone, not the experiments or the sweep
+#: executor.
+_EXPORTS = {
+    "TestBed": ".bench",
+    "BenchmarkResult": ".bench",
+    "LatencyTrace": ".bench",
+    "latency_histogram": ".bench",
+    "ClientHwConfig": ".config",
+    "CpuCosts": ".config",
+    "MountConfig": ".config",
+    "NetConfig": ".config",
+    "NfsClientConfig": ".config",
+    "FilerConfig": ".config",
+    "LinuxServerConfig": ".config",
+    "LocalFsConfig": ".config",
+    "scaled": ".config",
+    "VARIANTS": ".nfsclient",
+    "variant_config": ".nfsclient",
+    "experiment_ids": ".experiments",
+    "get_experiment": ".experiments",
+    "ExecutionContext": ".experiments",
+    "JobSpec": ".parallel",
+    "PointResult": ".parallel",
+    "SweepExecutor": ".parallel",
+    "ResultCache": ".cache",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = _lazy_surface(__name__, _EXPORTS)

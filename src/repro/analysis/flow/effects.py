@@ -46,6 +46,7 @@ from .callgraph import (
     classify,
 )
 from .config import FlowConfig
+from .syntactic import FlowIssue, unseeded_rng
 
 __all__ = [
     "WriteEffect",
@@ -54,7 +55,6 @@ __all__ = [
     "extract_effects",
     "propagate_effects",
     "observer_entry_points",
-    "FlowIssue",
     "check_pure_observer",
 ]
 
@@ -136,15 +136,6 @@ def _is_schedule_edge(edge: CallEdge) -> bool:
             if cls.rsplit(".", 1)[-1] in SIMULATOR_CLASSES:
                 return True
     return False
-
-
-def _is_rng_call(call: ast.Call) -> bool:
-    func = call.func
-    return (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "random"
-    )
 
 
 def _ground_target(
@@ -242,10 +233,8 @@ def _extract_one(graph: CallGraph, qualname: str) -> FnEffects:
         call = edge.node
         if _is_schedule_edge(edge):
             eff.sched_calls.append(SchedCall(edge.callee_name, edge.line, "schedule"))
-        if _is_rng_call(call):
-            func = call.func
-            name = f"random.{func.attr}" if isinstance(func, ast.Attribute) else "random"
-            eff.sched_calls.append(SchedCall(name, edge.line, "rng"))
+        if unseeded_rng(call) is not None:
+            eff.sched_calls.append(SchedCall(ast.unparse(call.func), edge.line, "rng"))
         if (
             edge.kind == "builtin"
             and edge.callee_name in MUTATING_METHODS
@@ -389,18 +378,6 @@ def observer_entry_points(graph: CallGraph, config: FlowConfig) -> List[str]:
             continue
         out.append(qualname)
     return sorted(out)
-
-
-@dataclass(frozen=True)
-class FlowIssue:
-    """One finding from a flow pass (engine turns these into findings)."""
-
-    code: str
-    path: str
-    line: int
-    message: str
-    scope: str  # qualname of the function the finding is attributed to
-    slug: str  # stable within-scope discriminator for baseline keys
 
 
 def _fn_module_owned(graph: CallGraph, qualname: str, config: FlowConfig) -> bool:

@@ -21,16 +21,16 @@ import time
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .baseline import BaselineEntry, apply_baseline, load_baseline, save_baseline
 from .callgraph import build_callgraph
 from .config import DEFAULT_CONFIG, FlowConfig
-from .effects import FlowIssue, check_pure_observer, extract_effects
+from .effects import check_pure_observer, extract_effects
 from .locks import check_locks
 from .modindex import build_index
 from .simapi import check_simapi
-from .syntactic import check_syntactic
+from .syntactic import FlowIssue, check_syntactic
 from .taint import check_taint
 
 __all__ = [
@@ -97,10 +97,13 @@ class FlowFinding:
     severity: str
     scope: str
     slug: str
+    #: 1 for the first finding of this code, scope and slug in the
+    #: file, 2 for the next, and so on: repeats get distinct keys.
+    occurrence: int = 1
 
     @property
     def key(self) -> str:
-        return f"{self.code}::{self.rel}::{self.scope}::{self.slug}"
+        return f"{self.code}::{self.rel}::{self.scope}::{self.slug}#{self.occurrence}"
 
     def render(self) -> str:
         return f"{self.rel}:{self.line}: {self.code} {self.message}"
@@ -215,7 +218,18 @@ def analyze(
             )
         )
 
+    # Occurrences are counted over every issue in the order the passes
+    # emit them, suppressed ones included, so adding a noqa re-keys
+    # nothing else.
+    occurrences: Dict[Tuple[str, str, str, str], int] = {}
+
+    def occurrence(code: str, path: str, scope: str, slug: str) -> int:
+        group = (code, path, scope, slug)
+        occurrences[group] = occurrences.get(group, 0) + 1
+        return occurrences[group]
+
     for issue in issues:
+        n = occurrence(issue.code, issue.path, issue.scope, issue.slug)
         entry = noqa[issue.path].get(issue.line)
         if entry is not None and issue.code in entry[0]:
             entry[1] = True
@@ -230,6 +244,7 @@ def analyze(
                 severity=FLOW_RULES[issue.code].severity,
                 scope=issue.scope,
                 slug=issue.slug,
+                occurrence=n,
             )
         )
 
@@ -239,6 +254,7 @@ def analyze(
             ours = sorted(codes & FLOW_RULES.keys())
             if used or not ours:
                 continue
+            slug = f"stale:{','.join(ours)}"
             findings.append(
                 FlowFinding(
                     code="SUP401",
@@ -249,7 +265,8 @@ def analyze(
                     "on this line; remove the stale suppression",
                     severity=SEVERITY_WARNING,
                     scope="<module>",
-                    slug=f"stale:{','.join(ours)}",
+                    slug=slug,
+                    occurrence=occurrence("SUP401", path, "<module>", slug),
                 )
             )
 

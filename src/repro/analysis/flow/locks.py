@@ -20,8 +20,8 @@ import ast
 from typing import Dict, List, Set, Tuple
 
 from .callgraph import UNKNOWN, CallGraph
-from .effects import FlowIssue, _is_schedule_edge
-from .syntactic import _dotted
+from .effects import _is_schedule_edge
+from .syntactic import FlowIssue, _dotted
 
 __all__ = ["check_locks"]
 

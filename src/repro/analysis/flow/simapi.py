@@ -20,7 +20,8 @@ import ast
 from typing import Dict, List, Optional, Tuple
 
 from .callgraph import LOCAL, SELF, CallGraph
-from .effects import FlowIssue, _is_schedule_edge
+from .effects import _is_schedule_edge
+from .syntactic import FlowIssue
 
 __all__ = ["check_simapi"]
 

@@ -35,18 +35,32 @@ DET15x taint pass (:mod:`.taint`) takes its ``rng``/``clock``/
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set
 
-from .effects import FlowIssue
 from .modindex import ModuleInfo, PackageIndex
 
 __all__ = [
+    "FlowIssue",
     "ORDER_INSENSITIVE_FNS",
     "check_syntactic",
     "is_set_expr",
     "unseeded_rng",
     "wall_clock",
 ]
+
+
+@dataclass(frozen=True)
+class FlowIssue:
+    """One finding from a flow pass (engine turns these into findings)."""
+
+    code: str
+    path: str
+    line: int
+    message: str
+    scope: str  # qualname of the function the finding is attributed to
+    slug: str  # stable within-scope discriminator for baseline keys
+
 
 #: random-module functions that draw from the process-global RNG.
 _GLOBAL_RNG_FNS = frozenset(
@@ -212,24 +226,19 @@ class _Visitor(ast.NodeVisitor):
         #: qualname stack of the enclosing defs: the finding's scope.
         self.scope: List[str] = [mod.name]
         self.issues: List[FlowIssue] = []
-        #: (scope, code, slug) -> occurrences so far, for line-free keys.
-        self._seen: Dict[Tuple[str, str, str], int] = {}
         #: set-expression iter nodes exempt from DET103 because an
         #: order-insensitive consumer normalises/ignores their order.
         self._order_exempt: Set[int] = set()
 
     def _flag(self, node: ast.AST, code: str, slug: str, message: str) -> None:
-        scope = ".".join(self.scope)
-        n = self._seen.get((scope, code, slug), 0) + 1
-        self._seen[(scope, code, slug)] = n
         self.issues.append(
             FlowIssue(
                 code,
                 self.path,
                 getattr(node, "lineno", 1),
                 message,
-                scope,
-                f"{slug}#{n}",
+                ".".join(self.scope),
+                slug,
             )
         )
 

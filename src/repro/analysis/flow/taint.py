@@ -37,8 +37,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .callgraph import CallGraph, FunctionContext, classify
-from .effects import FlowIssue, _is_schedule_edge
-from .syntactic import ORDER_INSENSITIVE_FNS, is_set_expr, unseeded_rng, wall_clock
+from .effects import _is_schedule_edge
+from .syntactic import (
+    ORDER_INSENSITIVE_FNS,
+    FlowIssue,
+    is_set_expr,
+    unseeded_rng,
+    wall_clock,
+)
 
 __all__ = ["check_taint", "TAINT_KINDS"]
 

@@ -2,7 +2,7 @@
 
 Every PR in the perf trajectory appends a ``BENCH_<n>.json`` snapshot
 so speedups (and regressions) are numbers in the tree, not anecdotes.
-Four lanes, each measuring a layer the sweeps actually stress:
+Five lanes, each measuring a layer the sweeps actually stress:
 
 * **sim_core** — events/sec through the event loop on the two event
   shapes the workloads produce: timed self-rescheduling callback
@@ -15,6 +15,9 @@ Four lanes, each measuring a layer the sweeps actually stress:
   aggregate throughput, Jain's index and the event count.
 * **cache** — warm hit rate of the content-addressed result cache over
   a small sweep re-run.
+* **imports** — what a fresh process pays before its first event: the
+  seconds the benchmark's build imports take, and how many modules
+  (``repro`` and all) they load.
 
 Simulated results are deterministic; the wall-clock fields are the only
 machine-dependent numbers and are recorded alongside ``nproc``.
@@ -24,9 +27,11 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 __all__ = ["run_bench", "bench_payload"]
@@ -37,6 +42,15 @@ HEADLINE_MB = 30
 #: Fleet lane shape: the acceptance point for the perf trajectory.
 FLEET_CLIENTS = 32
 FLEET_FILE_KIB = 1024
+
+#: The imports ``perfbench/workloads.py`` builds its three runs from.
+BUILD_IMPORTS = """\
+from repro import TestBed
+from repro.topology import FleetJobSpec, FleetWorkload, Topology
+from repro.topology.fleet import reduce_fleet
+from repro.obs.core import observed
+from repro.obs.slo import evaluate_slos
+"""
 
 
 def _wall() -> float:
@@ -172,6 +186,37 @@ def _bench_cache() -> Dict[str, Any]:
     }
 
 
+def _bench_imports() -> Dict[str, Any]:
+    """Time ``BUILD_IMPORTS`` in a fresh interpreter and count the
+    modules they load."""
+    code = (
+        "import sys, time\n"
+        "before = set(sys.modules)\n"
+        "started = time.perf_counter()\n"
+        + BUILD_IMPORTS
+        + "elapsed = time.perf_counter() - started\n"
+        "loaded = set(sys.modules) - before\n"
+        "import json\n"
+        "print(json.dumps([elapsed, len(loaded), "
+        "sum(name.split('.')[0] == 'repro' for name in loaded)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    elapsed, modules, ours = json.loads(proc.stdout)
+    return {
+        "import_s": round(elapsed, 4),
+        "modules": modules,
+        "repro_modules": ours,
+    }
+
+
 def bench_payload(quick: bool = False) -> Dict[str, Any]:
     """Run every lane; returns the JSON-ready payload."""
     if quick:
@@ -191,6 +236,7 @@ def bench_payload(quick: bool = False) -> Dict[str, Any]:
         "headline": headline,
         "fleet": fleet,
         "cache": _bench_cache(),
+        "imports": _bench_imports(),
     }
 
 
@@ -203,6 +249,7 @@ def run_bench(
     payload = bench_payload(quick=quick)
     sim_core, headline = payload["sim_core"], payload["headline"]
     fleet, cache = payload["fleet"], payload["cache"]
+    imports = payload["imports"]
     out.write(
         f"sim core   {sim_core['events_per_second']:>12,} events/s "
         f"timed, {sim_core['continuation_events_per_second']:,} with "
@@ -225,6 +272,11 @@ def run_bench(
         f"cache      {cache['warm_hit_rate']:.0%} warm hit rate "
         f"({cache['warm_hits']}/{cache['points']} points, "
         f"warm replay {cache['warm_wall_s']*1e3:.0f} ms)\n"
+    )
+    out.write(
+        f"imports    {imports['import_s']:>10.3f} s       "
+        f"{imports['repro_modules']} repro modules, "
+        f"{imports['modules']} in all\n"
     )
     if json_path:
         with open(json_path, "w") as f:

@@ -92,9 +92,11 @@ class Port:
 
     def _arrive(self, frag: Fragment) -> None:
         dgram = frag.dgram
-        got = self._partial.get(dgram.dgram_id, 0) + 1
+        # Bit i set: fragment i has arrived.  A duplicate sets no new
+        # bit, so it cannot stand in for a fragment that was lost.
+        got = self._partial.get(dgram.dgram_id, 0) | (1 << frag.index)
         complete: Optional[Datagram] = None
-        if got == frag.count:
+        if got == (1 << frag.count) - 1:
             self._partial.pop(dgram.dgram_id, None)
             self.datagrams_received += 1
             complete = dgram

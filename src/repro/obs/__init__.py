@@ -7,70 +7,45 @@ exporters, and :mod:`repro.obs.bundle` for per-run bundles and the
 full metric catalogue.
 """
 
-from .core import (
-    DISABLED,
-    Observability,
-    ObsSession,
-    active_session,
-    attach,
-    attach_if_active,
-    observed,
-)
-from .export import (
-    build_spans,
-    chrome_trace,
-    flat_profile,
-    prometheus_text,
-    span_children,
-    span_descendants,
-    validate_chrome_trace,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .report import render_ascii, render_html, sparkline
-from .slo import DEFAULT_SLOS, SLO_REPORT_SCHEMA, SloSpec, evaluate_slos
-from .timeseries import (
-    DEFAULT_RETENTION,
-    DEFAULT_WINDOW_NS,
-    TIMELINE_SCHEMA,
-    LogLinearHistogram,
-    TimelineRegistry,
-    WindowedCounter,
-    WindowedGauge,
-    WindowedHistogram,
-)
+from .. import _lazy_surface
 
-__all__ = [
-    "DISABLED",
-    "Observability",
-    "ObsSession",
-    "active_session",
-    "attach",
-    "attach_if_active",
-    "observed",
-    "build_spans",
-    "chrome_trace",
-    "flat_profile",
-    "prometheus_text",
-    "span_children",
-    "span_descendants",
-    "validate_chrome_trace",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "render_ascii",
-    "render_html",
-    "sparkline",
-    "DEFAULT_SLOS",
-    "SLO_REPORT_SCHEMA",
-    "SloSpec",
-    "evaluate_slos",
-    "DEFAULT_RETENTION",
-    "DEFAULT_WINDOW_NS",
-    "TIMELINE_SCHEMA",
-    "LogLinearHistogram",
-    "TimelineRegistry",
-    "WindowedCounter",
-    "WindowedGauge",
-    "WindowedHistogram",
-]
+#: Public name -> the submodule that defines it, imported on first read,
+#: so a run that never exports a trace never loads the exporters.
+_EXPORTS = {
+    "DISABLED": ".core",
+    "Observability": ".core",
+    "ObsSession": ".core",
+    "active_session": ".core",
+    "attach": ".core",
+    "attach_if_active": ".core",
+    "observed": ".core",
+    "build_spans": ".export",
+    "chrome_trace": ".export",
+    "flat_profile": ".export",
+    "prometheus_text": ".export",
+    "span_children": ".export",
+    "span_descendants": ".export",
+    "validate_chrome_trace": ".export",
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "render_ascii": ".report",
+    "render_html": ".report",
+    "sparkline": ".report",
+    "DEFAULT_SLOS": ".slo",
+    "SLO_REPORT_SCHEMA": ".slo",
+    "SloSpec": ".slo",
+    "evaluate_slos": ".slo",
+    "DEFAULT_RETENTION": ".timeseries",
+    "DEFAULT_WINDOW_NS": ".timeseries",
+    "TIMELINE_SCHEMA": ".timeseries",
+    "LogLinearHistogram": ".timeseries",
+    "TimelineRegistry": ".timeseries",
+    "WindowedCounter": ".timeseries",
+    "WindowedGauge": ".timeseries",
+    "WindowedHistogram": ".timeseries",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_surface(__name__, _EXPORTS)

@@ -40,7 +40,6 @@ __all__ = [
     "run_job",
     "SweepExecutor",
     "default_jobs",
-    "register_job_type",
     "result_from_payload",
 ]
 
@@ -126,26 +125,9 @@ class PointResult:
         return cls(**payload)
 
 
-# Additional sweepable job types (spec class -> runner), registered by
-# the modules that define them — e.g. importing ``repro.topology.fleet``
-# registers FleetJobSpec.  Workers re-register automatically: unpickling
-# a registered spec imports its defining module.
-_JOB_RUNNERS: Dict[type, Any] = {}
-_PAYLOAD_KINDS: Dict[str, Any] = {}
-
-
-def register_job_type(spec_type, runner, payload_kind, loader) -> None:
-    """Teach the executor a new sweep point type.
-
-    ``runner(spec)`` executes one point; cached payloads carrying
-    ``{"__kind__": payload_kind}`` are revived through ``loader``.
-    """
-    _JOB_RUNNERS[spec_type] = runner
-    _PAYLOAD_KINDS[payload_kind] = loader
-
-
 def result_from_payload(payload: Dict[str, Any]):
-    """Revive a cached result of any registered kind.
+    """Revive a cached result: a :class:`PointResult` row, or a fleet
+    point's payload (``"__kind__": "fleet"``).
 
     Payloads without a ``__kind__`` marker are classic
     :class:`PointResult` rows — the cache format predating multi-kind
@@ -154,32 +136,26 @@ def result_from_payload(payload: Dict[str, Any]):
     kind = payload.get("__kind__", "point")
     if kind == "point":
         return PointResult.from_payload(payload)
-    try:
-        loader = _PAYLOAD_KINDS[kind]
-    except KeyError:
-        raise ConfigError(
-            f"cached result has unknown kind {kind!r}; import the module "
-            "that registers it before reading the cache"
-        ) from None
-    return loader(payload)
+    from ..topology.fleet import FleetPointResult
+
+    if kind == FleetPointResult.PAYLOAD_KIND:
+        return FleetPointResult.from_payload(payload)
+    raise ConfigError(f"cached result has unknown kind {kind!r}")
 
 
 def run_job(spec) -> Any:
     """Run one sweep point in a pristine world, reduce the result.
 
     Module-level so process-pool workers can unpickle a reference to it.
-    Dispatches on the spec's type: classic :class:`JobSpec` points build
-    a single-client test bed; registered types (fleet points, ...) run
-    through their registered runner.
+    A :class:`JobSpec` builds a single-client test bed; a
+    :class:`~repro.topology.fleet.FleetJobSpec` runs a whole fleet.
     """
-    runner = _JOB_RUNNERS.get(type(spec))
-    if runner is not None:
-        return runner(spec)
     if not isinstance(spec, JobSpec):
-        raise ConfigError(
-            f"unknown job spec type {type(spec).__name__}; import the "
-            "module that registers it before running sweeps"
-        )
+        from ..topology.fleet import FleetJobSpec, run_fleet_job
+
+        if isinstance(spec, FleetJobSpec):
+            return run_fleet_job(spec)
+        raise ConfigError(f"unknown job spec type {type(spec).__name__}")
     import dataclasses
 
     from ..bench.runner import TestBed

@@ -14,9 +14,9 @@ The sweep-facing half mirrors :mod:`repro.parallel.executor`:
 :class:`FleetJobSpec` is a picklable value object describing one fleet
 point, :func:`run_fleet_job` materialises and runs it, and
 :class:`FleetPointResult` survives pickling and the JSON result cache.
-Importing this module registers the pair with the executor, so
-``SweepExecutor.map`` fans fleet points out over processes — and caches
-them — exactly like single-client points.
+The executor's ``run_job`` and ``result_from_payload`` know both kinds,
+so ``SweepExecutor.map`` fans fleet points out over processes — and
+caches them — exactly like single-client points.
 """
 
 from __future__ import annotations
@@ -478,15 +478,3 @@ def run_fleet_job(spec: FleetJobSpec) -> FleetPointResult:
         seed=spec.seed,
     )
     return reduce_fleet(workload.run(time_limit_ns=spec.time_limit_ns))
-
-
-# Register with the sweep executor: FleetJobSpec points fan out and
-# cache exactly like single-client JobSpecs.
-from ..parallel.executor import register_job_type  # noqa: E402
-
-register_job_type(
-    FleetJobSpec,
-    run_fleet_job,
-    FleetPointResult.PAYLOAD_KIND,
-    FleetPointResult.from_payload,
-)

@@ -149,6 +149,27 @@ def test_pur503_flags_observer_scheduling(tmp_path):
     assert "PUR503" in codes(report)
 
 
+def test_pur503_seeded_rng_constructor_is_not_a_draw(tmp_path):
+    # PUR503 takes its RNG draws from DET101's table: building a seeded
+    # generator draws nothing, a process-global draw does.
+    obs = textwrap.dedent(
+        """
+        import random
+
+        class Obs:
+            def on_seeded(self):
+                self.rng = random.Random(7)
+
+            def on_draw(self):
+                return random.random()
+        """
+    )
+    report = analyze_pkg(tmp_path, {"obs.py": obs})
+    found = [f for f in report.findings if f.code == "PUR503"]
+    assert [f.scope for f in found] == ["pkg.obs.Obs.on_draw"]
+    assert "random.random" in found[0].message
+
+
 def test_observer_writes_to_owned_state_stay_clean(tmp_path):
     obs = OBS_CLEAN + textwrap.dedent(
         """
@@ -606,6 +627,52 @@ def test_new_finding_fails_despite_baseline(tmp_path):
     )
     assert rc == 1
     assert "run_again" in out.getvalue()
+
+
+def test_baseline_entry_masks_only_its_own_occurrence(tmp_path):
+    # Repeats of one finding in one scope get numbered keys, so a
+    # baselined escape does not hide a second escape of the same name.
+    sim = textwrap.dedent(
+        """
+        class Server:
+            def __init__(self):
+                self.files = {}
+
+            def inodes(self):
+                return list(self.files)
+        """
+    )
+    audit = textwrap.dedent(
+        """
+        def on_audit(server):
+            return len(server.inodes())
+        """
+    )
+    root = build_pkg(tmp_path, {"sim.py": sim, "obs.py": audit})
+    baseline = tmp_path / "baseline.json"
+    run_flow(
+        root=str(root),
+        write_baseline=str(baseline),
+        out=io.StringIO(),
+        config=fixture_config(),
+    )
+    assert list(load_baseline(baseline)) == [
+        "PUR504::pkg/obs.py::pkg.obs.on_audit::escape:inodes#1"
+    ]
+
+    (root / "obs.py").write_text(
+        audit.replace("len(server.inodes())", "len(server.inodes()) + len(server.inodes())")
+    )
+    out = io.StringIO()
+    rc = run_flow(
+        root=str(root),
+        strict=True,
+        baseline=str(baseline),
+        out=out,
+        config=fixture_config(),
+    )
+    assert rc == 1
+    assert "1 finding(s)" in out.getvalue() and "1 baselined" in out.getvalue()
 
 
 # -- run_flow CLI contract ----------------------------------------------------

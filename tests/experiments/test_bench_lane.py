@@ -40,6 +40,11 @@ def test_bench_payload_quick_schema_and_invariants():
     assert cache["warm_hit_rate"] == 1.0
     assert cache["cold_misses"] == cache["points"]
 
+    imports = payload["imports"]
+    assert set(imports) == {"import_s", "modules", "repro_modules"}
+    assert imports["import_s"] > 0
+    assert 0 < imports["repro_modules"] < imports["modules"]
+
 
 def test_run_bench_writes_json_row(tmp_path):
     out = io.StringIO()
@@ -48,5 +53,6 @@ def test_run_bench_writes_json_row(tmp_path):
     assert code == 0
     text = out.getvalue()
     assert "sim core" in text and "MBps aggregate" in text
+    assert "repro modules" in text
     row = json.loads(path.read_text())
-    assert set(row) >= {"sim_core", "headline", "fleet", "cache", "nproc"}
+    assert set(row) >= {"sim_core", "headline", "fleet", "cache", "imports", "nproc"}

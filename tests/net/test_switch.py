@@ -1,11 +1,16 @@
 """Tests for switch forwarding, reassembly and its GC."""
 
+import random
+
 import pytest
 
-from repro.config import NetConfig
+from repro.config import MountConfig, NetConfig
 from repro.errors import ConfigError
+from repro.faults import DropFrames, Duplicate, FaultChain
 from repro.net import Host, Switch
 from repro.sim import Simulator
+from repro.topology import ClientSpec, FleetWorkload, Topology
+from repro.units import KIB, ms, us
 
 
 def test_three_hosts_forwarding_isolated():
@@ -67,3 +72,21 @@ def test_reassembly_table_bounded_under_loss():
     sim.run()
     assert len(b.port._partial) <= 4096
     assert switch.fragments_dropped > 0
+
+
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_duplicate_fragment_does_not_complete_a_datagram(duplicate):
+    # Three frames on client1's uplink are lost.  Duplicates of the
+    # damaged datagrams' other fragments must not count toward
+    # reassembly, so each damaged WRITE still times out and is sent
+    # again, as it is with no duplicates.
+    topo = Topology(
+        clients=ClientSpec(mount=MountConfig(timeo_ns=ms(20))).replicate(2)
+    )
+    faults = [DropFrames([4, 5, 9])]
+    if duplicate:
+        faults.append(Duplicate(random.Random(7), probability=0.2, lag_ns=us(30)))
+    topo.switch.install_fault("client1", uplink=FaultChain(faults))
+    FleetWorkload(topo, 96 * KIB).run()
+    retransmits = [stack.nfs.xprt.stats.retransmits for stack in topo.clients]
+    assert retransmits == [0, 2]

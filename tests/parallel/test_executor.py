@@ -18,6 +18,11 @@ def test_jobspec_is_picklable():
     assert clone.fingerprint(version="x") == SMALL.fingerprint(version="x")
 
 
+def test_run_job_rejects_an_unknown_spec_type():
+    with pytest.raises(ConfigError, match="unknown job spec type"):
+        run_job(object())
+
+
 def test_jobs_must_be_positive():
     with pytest.raises(ConfigError):
         SweepExecutor(jobs=0)
