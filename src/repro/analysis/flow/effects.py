@@ -108,9 +108,7 @@ SCHEDULE_METHODS = frozenset(
         "call_at",
         "schedule",
         "schedule_at",
-        "push_at",
         "spawn",
-        "alloc_seq",
     }
 )
 
@@ -123,19 +121,25 @@ SIMULATOR_CLASSES = frozenset({"Simulator"})
 MAX_UNKNOWN_SITES = 3
 
 
-def _is_schedule_edge(edge: CallEdge) -> bool:
-    if edge.callee_name not in SCHEDULE_METHODS:
-        return False
+def _is_method_of(edge: CallEdge, class_names: FrozenSet[str]) -> bool:
+    """Whether the call lands in, or its receiver is typed as, a class
+    whose name (last qualname component) is in ``class_names``."""
     for target in edge.targets:
         parts = target.rsplit(".", 2)
-        if len(parts) >= 2 and parts[-2] in SIMULATOR_CLASSES:
+        if len(parts) >= 2 and parts[-2] in class_names:
             return True
     recv = edge.receiver
     if recv is not None:
         for cls in recv.types:
-            if cls.rsplit(".", 1)[-1] in SIMULATOR_CLASSES:
+            if cls.rsplit(".", 1)[-1] in class_names:
                 return True
     return False
+
+
+def _is_schedule_edge(edge: CallEdge) -> bool:
+    return edge.callee_name in SCHEDULE_METHODS and _is_method_of(
+        edge, SIMULATOR_CLASSES
+    )
 
 
 def _ground_target(

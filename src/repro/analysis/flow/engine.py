@@ -79,7 +79,7 @@ _FLOW_RULE_LIST = [
     FlowRule("LCK702", "blocking-call-in-handler", SEVERITY_ERROR, "blocking/forbidden call reachable from event handlers"),
     FlowRule("SIM601", "negative-delay", SEVERITY_ERROR, "call_after delay constant-folds negative"),
     FlowRule("SIM602", "dead-simulator-schedule", SEVERITY_WARNING, "scheduling on a possibly-None simulator"),
-    FlowRule("SIM603", "dropped-coroutine", SEVERITY_ERROR, "generator call never iterated (missing yield from)"),
+    FlowRule("SIM603", "dropped-coroutine", SEVERITY_ERROR, "generator call never iterated (missing yield from), or CPU slot never yielded"),
 ]
 
 FLOW_RULES: Dict[str, FlowRule] = {r.code: r for r in _FLOW_RULE_LIST}

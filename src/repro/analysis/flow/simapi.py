@@ -11,7 +11,10 @@
   calling a function all of whose resolved targets are generators. The
   generator object is created and discarded without ever being
   iterated, so the modelled work silently never happens (the classic
-  missing ``yield from``).
+  missing ``yield from``).  A bare ``cpus.execute(...)`` on a CPU set
+  (:data:`CPU_CLASSES`) is the same mistake with a missing ``yield``:
+  it submits a slot whose continuation no task ever binds, and the run
+  fails when the slot ends.
 """
 
 from __future__ import annotations
@@ -20,10 +23,14 @@ import ast
 from typing import Dict, List, Optional, Tuple
 
 from .callgraph import LOCAL, SELF, CallGraph
-from .effects import _is_schedule_edge
+from .effects import _is_method_of, _is_schedule_edge
 from .syntactic import FlowIssue
 
 __all__ = ["check_simapi"]
+
+#: Class names (last qualname component) treated as CPU sets: their
+#: ``execute`` returns a slot the calling task must yield (SIM603).
+CPU_CLASSES = frozenset({"CpuSet"})
 
 
 def _const_fold(expr: ast.AST) -> Optional[float]:
@@ -120,12 +127,23 @@ def check_simapi(graph: CallGraph) -> Tuple[List[FlowIssue], Dict[str, int]]:
                                 f"dead:{recv.describe()}",
                             )
                         )
-            # SIM603: dropped coroutine.
-            if (
-                id(edge.node) in expr_stmt_calls
-                and edge.targets
-                and edge.kind == "direct"
-            ):
+            # SIM603: dropped coroutine, or a CPU slot never yielded.
+            if id(edge.node) not in expr_stmt_calls:
+                continue
+            if edge.callee_name == "execute" and _is_method_of(edge, CPU_CLASSES):
+                dropped += 1
+                issues.append(
+                    FlowIssue(
+                        "SIM603",
+                        fn.path,
+                        edge.line,
+                        f"CPU slot from `execute` is never yielded in"
+                        f" {qualname}; missing `yield`?",
+                        qualname,
+                        f"drop:{edge.callee_name}",
+                    )
+                )
+            elif edge.targets and edge.kind == "direct":
                 target_fns = [
                     graph.index.functions[t]
                     for t in edge.targets

@@ -146,14 +146,14 @@ class SyscallLayer:
 
     def _enter(self):
         half = self.host.costs.syscall_overhead // 2
-        yield from self.host.cpus.execute(half, label="syscall_entry")
+        yield self.host.cpus.execute(half, label="syscall_entry")
 
     def _exit(self):
         costs = self.host.costs
         tail = costs.syscall_overhead - costs.syscall_overhead // 2
         if self.instrument:
             tail += costs.instrumentation
-        yield from self.host.cpus.execute(tail, label="syscall_exit")
+        yield self.host.cpus.execute(tail, label="syscall_exit")
 
     def _fail(self, start: int, span: int = 0):
         """Generator: error return path — exit cost, EIO accounting."""

@@ -69,7 +69,7 @@ def generic_file_write(host: Host, file: VfsFile, nbytes: int):
     """Generator: append ``nbytes`` at the file position, page by page."""
     for page_index, in_page, seg in page_segments(file.pos, nbytes):
         copy_cost = int(host.costs.page_copy * seg / PAGE_SIZE)
-        yield from host.cpus.execute(copy_cost, label="copy_from_user")
+        yield host.cpus.execute(copy_cost, label="copy_from_user")
         yield from file.commit_write(page_index, in_page, seg)
     file.pos += nbytes
     if file.pos > file.size:
@@ -91,6 +91,6 @@ def generic_file_read(host: Host, file: VfsFile, nbytes: int):
         if not file.has_page(page_index):
             yield from file.readpage(page_index)
         copy_cost = int(host.costs.page_copy * seg / PAGE_SIZE)
-        yield from host.cpus.execute(copy_cost, label="copy_to_user")
+        yield host.cpus.execute(copy_cost, label="copy_to_user")
     file.pos += nbytes
     return nbytes

@@ -104,7 +104,7 @@ class Ext2Fs:
 
     def _commit_write(self, file: Ext2File, page_index: int, nbytes: int):
         cost = int(self.host.costs.ext2_page_overhead * nbytes / PAGE_SIZE)
-        yield from self.host.cpus.execute(cost, label="ext2_commit_write")
+        yield self.host.cpus.execute(cost, label="ext2_commit_write")
         if page_index not in file.dirty_pages:
             yield from self.pagecache.charge(PAGE_SIZE)
             file.dirty_pages.add(page_index)

@@ -3,33 +3,22 @@
 Frames queue behind each other at the link's bandwidth, then experience
 a fixed propagation/switching latency.  The O(1) ``busy_until``
 bookkeeping avoids a task per frame, which matters for multi-hundred-MB
-simulated transfers.
-
-Delivery is *batched per link*: a clean (un-faulted) link keeps its
-in-flight frames in a local FIFO and only the head frame occupies the
-simulator heap; each delivery re-arms the next one.  Because arrivals
-on one link are monotone (``busy_until`` never decreases and latency is
-constant) and every frame's ``(time, seq)`` key is reserved at send
-time via :meth:`Simulator.alloc_seq`, pop order — and therefore every
-simulated outcome — is bit-identical to the historical
-one-heap-event-per-frame scheme, while heap residency drops from
-O(in-flight frames) to O(links).  A congested server downlink with a
-thousand queued frames costs one heap slot instead of a thousand.
+simulated transfers.  Each frame in flight is one simulator heap entry:
+:meth:`Link.send` schedules its delivery with one ``call_at`` at the
+arrival time, so frames reach the far end in ``(arrival, send order)``.
 
 Fault injection: a pluggable :attr:`Link.fault` hook (any object with
 ``on_frame(wire_bytes) -> list[int]``, see :mod:`repro.faults.link`)
 decides each frame's fate *after* serialisation: an empty list drops
 the frame, ``[0]`` delivers normally, and each additional/positive
 entry delivers one (possibly delayed, hence reordered or duplicated)
-copy.  Bandwidth occupancy is charged either way — a dropped frame
-still burned wire time, like a frame lost to corruption.  Extra fault
-delays break per-link arrival monotonicity, so faulted deliveries take
-the eager per-frame path (which reserves seqs identically).
+copy, each its own ``call_at``.  Bandwidth occupancy is charged either
+way — a dropped frame still burned wire time, like a frame lost to
+corruption.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Dict, Optional
 
 from ..errors import ConfigError
@@ -57,9 +46,6 @@ class Link:
         "frames_dropped",
         "frames_duplicated",
         "obs",
-        "batch_delivery",
-        "_pending",
-        "_head_armed",
         "_queue_series_key",
         "_tx_ns",
     )
@@ -70,7 +56,6 @@ class Link:
         bandwidth_bytes_per_sec: float,
         latency_ns: int,
         name: str = "link",
-        batch_delivery: bool = True,
     ):
         if bandwidth_bytes_per_sec <= 0:
             raise ConfigError(f"{name}: bandwidth must be positive")
@@ -94,13 +79,6 @@ class Link:
         self.frames_dropped = 0
         self.frames_duplicated = 0
         self.obs = DISABLED
-        #: One-live-heap-event-per-link delivery (bit-identical to the
-        #: eager per-frame path; disable to measure that equivalence).
-        self.batch_delivery = batch_delivery
-        #: In-flight frames: (arrival, seq, deliver, args), arrival- and
-        #: seq-monotone.  Only the head is in the simulator heap.
-        self._pending: deque = deque()
-        self._head_armed = False
         #: Cached timeline key: send() is the hottest path in the net
         #: layer, so the per-link key string is built exactly once.
         self._queue_series_key = f"net/{name}/queue_ns"
@@ -155,20 +133,8 @@ class Link:
                 self.frames_duplicated += len(deliveries) - 1
                 if obs.enabled:
                     obs.count("net/frames_duplicated", len(deliveries) - 1)
-            # Fault delays break per-link arrival monotonicity, so every
-            # copy takes the eager per-frame path.
             for extra_delay in deliveries:
                 self._sim.call_at(arrival + extra_delay, deliver, *args)
-        elif self.batch_delivery:
-            # Reserve the frame's ``(time, seq)`` key now but park it in
-            # the per-link FIFO; only the head frame holds a heap slot,
-            # and :meth:`_deliver_head` re-arms the next one.
-            sim = self._sim
-            seq = sim.alloc_seq()
-            self._pending.append((arrival, seq, deliver, args))
-            if not self._head_armed:
-                self._head_armed = True
-                sim.push_at(arrival, seq, self._deliver_head)
         else:
             self._sim.call_at(arrival, deliver, *args)
         if obs.enabled:
@@ -183,15 +149,6 @@ class Link:
                 name,
             )
         return arrival
-
-    def _deliver_head(self) -> None:
-        _arrival, _seq, deliver, args = self._pending.popleft()
-        if self._pending:
-            head = self._pending[0]
-            self._sim.push_at(head[0], head[1], self._deliver_head)
-        else:
-            self._head_armed = False
-        deliver(*args)
 
     def queue_delay_ns(self) -> int:
         """Backlog currently ahead of a new frame."""

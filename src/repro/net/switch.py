@@ -24,11 +24,16 @@ from ..config import NetConfig
 from ..errors import ConfigError
 from ..obs.core import DISABLED
 from ..sim import RngStreams, Simulator
+from ..units import seconds
 from .ip import fragment_sizes
 from .link import Link
 from .packet import Datagram, Fragment
 
-__all__ = ["Switch", "Port"]
+__all__ = ["Switch", "Port", "IPFRAG_TIME_NS"]
+
+#: Linux's default ``ipfrag_time``: how long a port keeps a datagram's
+#: fragments waiting for the rest.
+IPFRAG_TIME_NS = seconds(30)
 
 
 class Port:
@@ -43,7 +48,9 @@ class Port:
         "uplink",
         "downlink",
         "on_fragment",
+        "_frag_sizes",
         "_partial",
+        "_born",
         "datagrams_sent",
         "datagrams_received",
     )
@@ -72,7 +79,14 @@ class Port:
         #: Host hook: called for every arriving fragment with the
         #: fragment and the fully reassembled datagram (or None).
         self.on_fragment: Optional[Callable[[Fragment, Optional[Datagram]], None]] = None
+        #: Fragment wire sizes per datagram size: a port sends a handful
+        #: of sizes (full WRITEs, small calls and replies) many times.
+        self._frag_sizes: Dict[int, List[int]] = {}
+        #: Reassembly: per incomplete datagram, the bitmask of fragment
+        #: indices that arrived and, in ``_born``, when the first did.
+        #: Both are in first-arrival order.
         self._partial: Dict[int, int] = {}
+        self._born: Dict[int, int] = {}
         self.datagrams_sent = 0
         self.datagrams_received = 0
 
@@ -81,7 +95,10 @@ class Port:
     def send_datagram(self, dgram: Datagram) -> None:
         """Fragment ``dgram`` per this port's MTU and launch it."""
         dgram.dgram_id = self.switch._next_dgram_id()
-        sizes = fragment_sizes(dgram.size, self.net)
+        sizes = self._frag_sizes.get(dgram.size)
+        if sizes is None:
+            sizes = fragment_sizes(dgram.size, self.net)
+            self._frag_sizes[dgram.size] = sizes
         count = len(sizes)
         for index, wire_bytes in enumerate(sizes):
             frag = Fragment(dgram, index, count, wire_bytes)
@@ -92,20 +109,38 @@ class Port:
 
     def _arrive(self, frag: Fragment) -> None:
         dgram = frag.dgram
+        dgram_id = dgram.dgram_id
+        partial = self._partial
         # Bit i set: fragment i has arrived.  A duplicate sets no new
         # bit, so it cannot stand in for a fragment that was lost.
-        got = self._partial.get(dgram.dgram_id, 0) | (1 << frag.index)
+        prev = partial.get(dgram_id)
+        got = (1 << frag.index) if prev is None else prev | (1 << frag.index)
         complete: Optional[Datagram] = None
         if got == (1 << frag.count) - 1:
-            self._partial.pop(dgram.dgram_id, None)
+            if prev is not None:
+                del partial[dgram_id]
+                del self._born[dgram_id]
             self.datagrams_received += 1
             complete = dgram
         else:
-            self._partial[dgram.dgram_id] = got
-            # Reassembly GC: datagrams that lost a fragment never
-            # complete; bound the table like a kernel's frag timeout.
-            while len(self._partial) > 4096:
-                self._partial.pop(next(iter(self._partial)))
+            if prev is None:
+                # Reassembly GC, on a datagram's first fragment: one
+                # that lost a fragment never completes, nor does the
+                # entry a late duplicate starts.  As the kernel does,
+                # drop each entry whose first fragment arrived
+                # IPFRAG_TIME_NS ago (checked here, not on a timer, so
+                # it costs no event), and keep at most 4,096 entries;
+                # both drop the oldest first.
+                born = self._born
+                now = self.switch._sim.now
+                while born:
+                    oldest = next(iter(born))
+                    if born[oldest] > now - IPFRAG_TIME_NS and len(born) < 4096:
+                        break
+                    del born[oldest]
+                    del partial[oldest]
+                born[dgram_id] = now
+            partial[dgram_id] = got
         if self.on_fragment is not None:
             self.on_fragment(frag, complete)
 

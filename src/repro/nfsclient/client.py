@@ -268,7 +268,7 @@ class NfsClient:
         now = self.sim.now
         for req in group:
             inode.note_scheduled(req, now)
-        yield from self.host.cpus.execute(
+        yield self.host.cpus.execute(
             self.host.costs.rpc_task_setup, label="rpc_task_setup",
             priority=PRIO_KERNEL,
         )
@@ -314,12 +314,12 @@ class NfsClient:
         if result.change_id > inode.server_change_id:
             inode.server_change_id = result.change_id
         for req in group:
-            yield from cpus.execute(
+            yield cpus.execute(
                 costs.request_complete, label="nfs_write_done", priority=PRIO_KERNEL
             )
             if result.committed >= Stable.DATA_SYNC:
                 remove_cost = self.index.remove(req)
-                yield from cpus.execute(
+                yield cpus.execute(
                     remove_cost, label="nfs_request_remove", priority=PRIO_KERNEL
                 )
                 inode.note_write_done(req, now)
@@ -345,7 +345,7 @@ class NfsClient:
         now = self.sim.now
         for req in group:
             remove_cost = self.index.remove(req)
-            yield from cpus.execute(
+            yield cpus.execute(
                 remove_cost, label="nfs_request_remove", priority=PRIO_KERNEL
             )
             inode.note_write_done(req, now)
@@ -404,7 +404,7 @@ class NfsClient:
             raise ProtocolError(f"READ returned {result!r}")
         cpus = self.host.cpus
         for page in pages:
-            yield from cpus.execute(
+            yield cpus.execute(
                 self.host.costs.request_complete,
                 label="nfs_readpage_result",
                 priority=PRIO_KERNEL,
@@ -481,7 +481,7 @@ class NfsClient:
         costs = self.host.costs
         now = self.sim.now
         for req in snapshot:
-            yield from cpus.execute(
+            yield cpus.execute(
                 costs.request_complete, label="nfs_commit_done", priority=PRIO_KERNEL
             )
             if req.verf is not None and req.verf != result.verf:
@@ -493,7 +493,7 @@ class NfsClient:
                 self.stats.commit_verf_mismatches += 1
                 continue
             remove_cost = self.index.remove(req)
-            yield from cpus.execute(
+            yield cpus.execute(
                 remove_cost, label="nfs_request_remove", priority=PRIO_KERNEL
             )
             inode.note_committed(req, now)
@@ -510,7 +510,7 @@ class NfsClient:
         now = self.sim.now
         for req in snapshot:
             remove_cost = self.index.remove(req)
-            yield from cpus.execute(
+            yield cpus.execute(
                 remove_cost, label="nfs_request_remove", priority=PRIO_KERNEL
             )
             inode.note_committed(req, now)

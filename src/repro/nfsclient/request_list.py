@@ -30,6 +30,8 @@ class Fenwick:
         self._size = size
         self._tree = [0] * (size + 1)
         self.count = 0
+        #: Highest index ever added: every occupied index is at most it.
+        self._top = -1
 
     def _grow(self, needed: int) -> None:
         new_size = self._size
@@ -52,6 +54,8 @@ class Fenwick:
     def add(self, index: int) -> None:
         if index >= self._size:
             self._grow(index)
+        if index > self._top:
+            self._top = index
         i = index + 1
         while i <= self._size:
             self._tree[i] += 1
@@ -69,6 +73,10 @@ class Fenwick:
 
     def rank(self, index: int) -> int:
         """Number of occupied indices strictly below ``index``."""
+        if index > self._top:
+            # Past every page ever added: what a sequential writer's
+            # every search asks.
+            return self.count
         if index <= 0:
             return 0
         i = min(index, self._size)

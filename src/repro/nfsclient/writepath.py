@@ -84,7 +84,7 @@ class WritePath:
         try:
             # First search: look for an incompatible request (§3.4).
             found, cost = index.find(inode.fileid, page_index)
-            yield from cpus.execute(cost, label="nfs_find_request", priority=PRIO_USER)
+            yield cpus.execute(cost, label="nfs_find_request", priority=PRIO_USER)
 
             if found is None and not charged:
                 # Raced with completion while blocked in charge(): the
@@ -102,11 +102,11 @@ class WritePath:
             # the two could be combined — see the `single_search` knob).
             if not client.behavior_single_search:
                 _, cost2 = index.find(inode.fileid, page_index)
-                yield from cpus.execute(
+                yield cpus.execute(
                     cost2, label="nfs_update_request", priority=PRIO_USER
                 )
 
-            yield from cpus.execute(
+            yield cpus.execute(
                 costs.request_setup, label="nfs_request_setup", priority=PRIO_USER
             )
             if found is None:
@@ -119,7 +119,7 @@ class WritePath:
                 )
                 request.span_id = page_span
                 insert_cost = index.insert(request)
-                yield from cpus.execute(
+                yield cpus.execute(
                     insert_cost, label="nfs_request_insert", priority=PRIO_USER
                 )
                 inode.note_created(request)

@@ -354,13 +354,13 @@ class UdpTransport:
             send_span = obs.span_begin(
                 "rpc", label, parent=req.call.span_id, xid=req.call.xid
             )
-        yield from self.host.cpus.execute(
+        yield self.host.cpus.execute(
             self.host.costs.rpc_build, label="rpc_build", priority=PRIO_KERNEL
         )
 
         def wire_body():
             cost = self.host.udp.send_cost(req.call.size)
-            yield from self.host.cpus.execute(
+            yield self.host.cpus.execute(
                 cost, label="sock_sendmsg", priority=PRIO_KERNEL
             )
             self.sock.sendto(self.server, self.server_port, req.call, req.call.size)
@@ -484,7 +484,7 @@ class UdpTransport:
             self.stats.duplicate_replies += 1
             if obs.enabled:
                 obs.count("rpc/duplicate_replies")
-            yield from self.host.cpus.execute(
+            yield self.host.cpus.execute(
                 self.host.costs.reply_processing,
                 label="rpc_reply_dup",
                 priority=PRIO_KERNEL,
@@ -535,7 +535,7 @@ class UdpTransport:
             )
 
         def process():
-            yield from self.host.cpus.execute(
+            yield self.host.cpus.execute(
                 self.host.costs.reply_processing,
                 label="rpc_reply_processing",
                 priority=PRIO_KERNEL,
@@ -566,7 +566,7 @@ class UdpTransport:
         )
 
         def process():
-            yield from self.host.cpus.execute(
+            yield self.host.cpus.execute(
                 self.host.costs.reply_processing,
                 label="rpc_soft_timeout",
                 priority=PRIO_KERNEL,

@@ -16,12 +16,13 @@ An event waits in one of two places:
   cancellable one.  :meth:`Simulator.schedule` /
   :meth:`Simulator.schedule_at` push ``(time, seq, handle)`` with a
   cancellable :class:`EventHandle`.  A positive-delay
-  :meth:`Simulator.call_after`, :meth:`Simulator.call_at` and
-  :meth:`Simulator.push_at` push a bare ``(time, seq, fn, args)``
-  tuple: no per-event object, no ``cancelled`` test on dispatch.
-  Entries are ordered by their ``(time, seq)`` prefix; ``seq`` is
-  unique, so comparison never reaches the third element and the two
-  shapes coexist safely.
+  :meth:`Simulator.call_after` and :meth:`Simulator.call_at` push a
+  bare ``(time, seq, fn, args)`` tuple: no per-event object, no
+  ``cancelled`` test on dispatch.  Each link frame in flight is one
+  such entry (its delivery), and so is each running CPU slot (its
+  completion), which ``CpuSet`` pushes itself.  Entries are ordered by
+  their ``(time, seq)`` prefix; ``seq`` is unique, so comparison never
+  reaches the third element and the two shapes coexist safely.
 * **The ready lane** is a FIFO deque of zero-delay events, all due at
   ``now``: ``call_after(0, fn, *args)`` appends ``(seq, fn, args)``.
   About half of all events are such continuations (a task resuming
@@ -29,7 +30,7 @@ An event waits in one of two places:
   after it), and an append and a pop cost far less than a heap push
   and pop.  ``Task._resume``/``_throw`` and ``CpuSet._complete`` append
   this entry themselves, taking ``seq`` from ``sim._seq += 1`` first;
-  nothing outside :mod:`repro.sim` may.
+  nothing outside :mod:`repro.sim` may touch either queue.
 
 The run loops merge the two: the lane's head runs unless the heap's
 top is due now with a lower ``seq``.  That is exactly the ``(time,
@@ -159,26 +160,6 @@ class Simulator:
             )
         self._seq += 1
         heapq.heappush(self._queue, (time, self._seq, fn, args))
-
-    def alloc_seq(self) -> int:
-        """Reserve the next tie-break sequence number without queueing.
-
-        Pairs with :meth:`push_at`: a caller that defers heap insertion
-        (e.g. a link keeping one live event per wire) reserves the seq
-        at submission time, so pop order is identical to eager
-        ``call_at`` — ``(time, seq)`` keys don't depend on *when* the
-        entry physically enters the heap.
-        """
-        self._seq += 1
-        return self._seq
-
-    def push_at(self, time: int, seq: int, fn: Callable[..., None], *args: Any) -> None:
-        """Insert a fast-lane entry under a seq from :meth:`alloc_seq`."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} (now={self.now})"
-            )
-        heapq.heappush(self._queue, (time, seq, fn, args))
 
     # -- cancellation bookkeeping -------------------------------------------
 

@@ -1,18 +1,22 @@
 """CPU model: a set of cores on which work charges labelled compute time.
 
-A task performs work with ``yield from cpus.execute(ns, label)``.  Code
-that is not a task, such as the receive interrupt path in
-:mod:`repro.net.host`, calls ``cpus.submit(ns, label, priority, fn,
-args)`` instead; ``execute`` is a thin generator over the same
-``submit``.  A request queues until a core is free; the core then runs
-it to completion (work units in this codebase are all a few tens of
-microseconds, so non-preemptive slots are an adequate model of the 2.4
-kernel, which did not preempt kernel code either).
+A task performs work with ``yield cpus.execute(ns, label)``: ``execute``
+submits the slot and returns it as a plain waitable.  Code that is not
+a task, such as the receive interrupt path in :mod:`repro.net.host`,
+calls ``cpus.submit(ns, label, priority, fn, args)`` instead.  A slot
+queues until a core is free; the core then runs it to completion (work
+units in this codebase are all a few tens of microseconds, so
+non-preemptive slots are an adequate model of the 2.4 kernel, which did
+not preempt kernel code either).
 
-A request carries its continuation: ``fn(*args)``, or the next step of
-the task that yields it.  When the slot ends, the continuation runs as
-a zero-delay event, so a callback and a task that finish at the same
-instant resume in submission order.
+A slot carries its continuation: ``fn(*args)``, or the next step of the
+task that yields it, bound when the task yields it.  A running slot is
+one heap entry, its completion; the continuation then runs as a
+zero-delay event, so a callback and a task that finish at the same
+instant resume in submission order.  A zero-length slot charges
+nothing and makes no event: ``submit`` calls ``fn`` at once, and
+``execute`` returns :data:`~repro.sim.task.CONTINUE`, which the task
+steps past without leaving its generator.
 
 Three priority levels mirror interrupt > softirq/kernel daemon > user
 work.  Exact per-label time accounting feeds the profiler-style reports
@@ -21,12 +25,12 @@ the paper relies on for its diagnosis.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from .core import Simulator
-from .task import Task, Waitable
+from .task import CONTINUE, Task, Waitable
 
 __all__ = ["CpuSet", "PRIO_INTERRUPT", "PRIO_KERNEL", "PRIO_USER"]
 
@@ -42,16 +46,21 @@ _RESUME = (None, None)
 class _ExecRequest(Waitable):
     """One CPU slot and its continuation ``fn(*args)``.
 
-    A task's request has no continuation until the task yields it:
-    :meth:`_arm` binds it to the task's next step.
+    Creating a request submits it: it starts on a free core of ``cpus``
+    at once, pushing its completion onto the simulator heap as
+    ``call_after(duration, cpus._complete, core, request)`` would, or
+    queues by priority.  A task's request has no continuation until the
+    task yields it: :meth:`_arm` binds it to the task's next step.
     """
 
     __slots__ = ("duration", "label", "fn", "args")
 
     def __init__(
         self,
+        cpus: "CpuSet",
         duration: int,
         label: str,
+        priority: int,
         fn: Optional[Callable[..., None]],
         args: Tuple[Any, ...],
     ):
@@ -59,6 +68,18 @@ class _ExecRequest(Waitable):
         self.label = label
         self.fn = fn
         self.args = args
+        free = cpus._free
+        if free:
+            core = free.pop()
+            cpus.core_labels[core] = label
+            sim = cpus._sim
+            sim._seq = seq = sim._seq + 1
+            heappush(
+                sim._queue, (sim.now + duration, seq, cpus._complete, (core, self))
+            )
+        else:
+            cpus._seq += 1
+            heappush(cpus._queue, (priority, cpus._seq, self))
 
     def _arm(self, task: Task) -> None:
         self.fn = task._step
@@ -82,61 +103,60 @@ class CpuSet:
         self.core_labels: List[Optional[str]] = [None] * ncpus
         #: Exact nanoseconds of compute charged per label.
         self.time_by_label: Dict[str, int] = {}
-        self.total_busy_ns = 0
         self._created_at = sim.now
 
     # -- work submission ------------------------------------------------------
 
-    def execute(self, duration: int, label: str = "kernel", priority: int = PRIO_USER):
-        """Generator: consume ``duration`` ns of CPU under ``label``."""
-        req = self.submit(duration, label, priority)
-        if req is not None:
-            yield req
+    def execute(
+        self, duration: int, label: str = "kernel", priority: int = PRIO_USER
+    ) -> Waitable:
+        """Submit ``duration`` ns of CPU under ``label`` for the task that
+        yields the result: ``yield cpus.execute(ns, label)``.
+
+        The task resumes, with ``None``, when the slot ends.  A zero
+        duration returns :data:`~repro.sim.task.CONTINUE`: the task goes
+        on at once, with no event.
+        """
+        if duration <= 0:
+            if duration < 0:
+                raise SimulationError(f"{self.name}: negative duration {duration}")
+            return CONTINUE
+        return _ExecRequest(self, duration, label, priority, None, ())
 
     def submit(
         self,
         duration: int,
         label: str,
         priority: int,
-        fn: Optional[Callable[..., None]] = None,
+        fn: Callable[..., None],
         args: Tuple[Any, ...] = (),
-    ) -> Optional[_ExecRequest]:
-        """Queue ``duration`` ns of CPU under ``label``; returns the request.
+    ) -> None:
+        """Queue ``duration`` ns of CPU under ``label``, then ``fn(*args)``.
 
-        When the slot ends, its continuation runs as a zero-delay event:
-        ``fn(*args)``, or with ``fn=None`` the next step of the task that
-        yields the returned request, which is what :meth:`execute` does.
-        A zero duration calls ``fn`` at once and returns ``None``, as
-        :meth:`execute` returns at once without an event.
+        When the slot ends, ``fn(*args)`` runs as a zero-delay event.  A
+        zero duration calls ``fn`` at once, as :meth:`execute` lets its
+        task go on at once without an event.
         """
         if duration <= 0:
             if duration < 0:
                 raise SimulationError(f"{self.name}: negative duration {duration}")
-            if fn is not None:
-                fn(*args)
-            return None
-        req = _ExecRequest(duration, label, fn, args)
-        if self._free:
-            core = self._free.pop()
-            self.core_labels[core] = label
-            self._sim.call_after(duration, self._complete, core, req)
-        else:
-            self._seq += 1
-            heapq.heappush(self._queue, (priority, self._seq, req))
-        return req
+            fn(*args)
+            return
+        _ExecRequest(self, duration, label, priority, fn, args)
 
     # -- internals -------------------------------------------------------------
 
     def _complete(self, core: int, req: _ExecRequest) -> None:
-        self.time_by_label[req.label] = (
-            self.time_by_label.get(req.label, 0) + req.duration
-        )
-        self.total_busy_ns += req.duration
+        by_label = self.time_by_label
+        by_label[req.label] = by_label.get(req.label, 0) + req.duration
         sim = self._sim
         if self._queue:
-            nxt = heapq.heappop(self._queue)[2]
+            nxt = heappop(self._queue)[2]
             self.core_labels[core] = nxt.label
-            sim.call_after(nxt.duration, self._complete, core, nxt)
+            sim._seq = seq = sim._seq + 1
+            heappush(
+                sim._queue, (sim.now + nxt.duration, seq, self._complete, (core, nxt))
+            )
         else:
             self.core_labels[core] = None
             self._free.append(core)
@@ -146,6 +166,11 @@ class CpuSet:
         sim._ready.append((seq, req.fn, req.args))
 
     # -- reporting --------------------------------------------------------------
+
+    @property
+    def total_busy_ns(self) -> int:
+        """Nanoseconds of compute charged, over every label."""
+        return sum(self.time_by_label.values())
 
     def utilization(self) -> float:
         """Mean core utilization since creation."""

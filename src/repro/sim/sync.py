@@ -12,7 +12,7 @@ contention statistics the experiments report on.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from .core import Simulator
@@ -22,7 +22,11 @@ __all__ = ["Event", "Lock", "MonitoredLock", "Semaphore", "WaitQueue", "LockStat
 
 
 class Event(Waitable):
-    """A one-shot level-triggered event carrying an optional value."""
+    """A one-shot level-triggered event carrying an optional value.
+
+    Its waiters wait in a list, dropped once the event fires: a waiter
+    arriving later resumes at once.
+    """
 
     __slots__ = ("_sim", "fired", "value", "_waiters")
 
@@ -30,7 +34,7 @@ class Event(Waitable):
         self._sim = sim
         self.fired = False
         self.value: Any = None
-        self._waiters: Deque[Task] = deque()
+        self._waiters: Optional[List[Task]] = []
 
     def trigger(self, value: Any = None) -> None:
         """Fire the event, resuming all current and future waiters."""
@@ -38,7 +42,7 @@ class Event(Waitable):
             raise SimulationError("event triggered twice")
         self.fired = True
         self.value = value
-        waiters, self._waiters = self._waiters, deque()
+        waiters, self._waiters = self._waiters, None
         for task in waiters:
             task._resume(value)
 
@@ -327,6 +331,8 @@ class WaitQueue:
             event.trigger()
 
     def wake_all(self) -> None:
+        if not self._waiters:
+            return
         waiters, self._waiters = self._waiters, deque()
         for event in waiters:
             if self.sanitizer is not None:

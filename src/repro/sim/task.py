@@ -32,7 +32,7 @@ from ..errors import SimulationError, TaskFailed
 if TYPE_CHECKING:
     from .core import Simulator
 
-__all__ = ["Waitable", "Timeout", "Task", "AllOf"]
+__all__ = ["Waitable", "Timeout", "Task", "AllOf", "CONTINUE"]
 
 
 class Waitable:
@@ -42,13 +42,26 @@ class Waitable:
     the yielding task; the waitable must eventually call
     ``task._resume(value)`` or ``task._throw(exc)``, or put on the
     simulator's ready lane the same zero-delay ``task._step`` entry that
-    ``_resume`` appends (a CPU slot's completion does that).
+    ``_resume`` appends (a CPU slot's completion does that).  The one
+    exception is :data:`CONTINUE`, which is never armed.
     """
 
     __slots__ = ()
 
     def _arm(self, task: "Task") -> None:  # pragma: no cover - interface
         raise NotImplementedError
+
+
+class _Continue(Waitable):
+    """The type of :data:`CONTINUE`."""
+
+    __slots__ = ()
+
+
+#: The waitable of a zero-length CPU slot: the task goes on at once,
+#: with no event.  ``Task._step`` sends the generator ``None`` again
+#: instead of arming it, in a loop, so a run of them cannot recurse.
+CONTINUE = _Continue()
 
 
 class Timeout(Waitable):
@@ -157,6 +170,8 @@ class Task(Waitable):
                 item = self._gen.throw(exc)
             else:
                 item = self._gen.send(value)
+            while item is CONTINUE:
+                item = self._gen.send(None)
         except StopIteration as stop:
             self._finish(stop.value, None)
             return

@@ -459,6 +459,71 @@ def test_sim603_not_flagged_when_iterated(tmp_path):
     assert "SIM603" not in codes(report)
 
 
+CPU_PY = textwrap.dedent(
+    """
+    class Slot:
+        pass
+
+    class CpuSet:
+        def execute(self, duration, label):
+            return Slot()
+    """
+)
+
+
+def test_sim603_cpu_slot_never_yielded(tmp_path):
+    src = textwrap.dedent(
+        """
+        from .cpu import CpuSet
+
+        class Client:
+            def __init__(self):
+                self.cpus = CpuSet()
+
+            def write(self):
+                self.cpus.execute(5, "copy")
+                yield None
+
+        def flush(cpus: CpuSet):
+            cpus.execute(5, "flush")
+            yield None
+        """
+    )
+    report = analyze_pkg(
+        tmp_path, {"sim.py": SIM_PY, "cpu.py": CPU_PY, "use.py": src}
+    )
+    found = sorted(
+        (f.line, f.message) for f in report.findings if f.code == "SIM603"
+    )
+    assert [line for line, _ in found] == [9, 13]
+    assert "never yielded in pkg.use.Client.write" in found[0][1]
+    assert "never yielded in pkg.use.flush" in found[1][1]
+
+
+def test_sim603_not_flagged_when_cpu_slot_is_yielded(tmp_path):
+    src = textwrap.dedent(
+        """
+        from .cpu import CpuSet
+
+        class Client:
+            def __init__(self):
+                self.cpus = CpuSet()
+
+            def write(self):
+                yield self.cpus.execute(5, "copy")
+
+        def flush(cpus: CpuSet):
+            yield cpus.execute(5, "flush")
+            slot = cpus.execute(5, "flush")
+            yield slot
+        """
+    )
+    report = analyze_pkg(
+        tmp_path, {"sim.py": SIM_PY, "cpu.py": CPU_PY, "use.py": src}
+    )
+    assert "SIM603" not in codes(report)
+
+
 # -- FLW00x / SUP401: syntax, suppressions, baseline hygiene ------------------
 
 

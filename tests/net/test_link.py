@@ -1,11 +1,14 @@
 """Unit tests for the serialising link."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigError
+from repro.faults.link import DelayJitter
 from repro.net import Link
 from repro.sim import Simulator
-from repro.units import us
+from repro.units import ms, us
 
 
 def test_single_frame_timing():
@@ -55,3 +58,26 @@ def test_bad_configs_rejected():
     link = Link(sim, bandwidth_bytes_per_sec=1e6, latency_ns=0)
     with pytest.raises(ConfigError):
         link.send(0, lambda: None)
+
+
+def test_every_frame_in_flight_is_one_heap_entry():
+    sim = Simulator()
+    link = Link(sim, bandwidth_bytes_per_sec=1e6, latency_ns=1000, name="l")
+    delivered = []
+    for i in range(10):
+        link.send(1500, delivered.append, i)
+    assert len(sim._queue) == 10
+    sim.run()
+    assert delivered == list(range(10))
+    assert sim.events_processed == 10
+
+
+def test_jittered_link_delivers_every_frame():
+    sim = Simulator()
+    link = Link(sim, bandwidth_bytes_per_sec=1e6, latency_ns=1000, name="l")
+    link.fault = DelayJitter(random.Random(1), max_jitter_ns=ms(1))
+    delivered = []
+    for i in range(5):
+        link.send(1500, delivered.append, i)
+    sim.run()
+    assert sorted(delivered) == list(range(5))

@@ -8,9 +8,10 @@ from repro.config import MountConfig, NetConfig
 from repro.errors import ConfigError
 from repro.faults import DropFrames, Duplicate, FaultChain
 from repro.net import Host, Switch
+from repro.net.switch import IPFRAG_TIME_NS
 from repro.sim import Simulator
 from repro.topology import ClientSpec, FleetWorkload, Topology
-from repro.units import KIB, ms, us
+from repro.units import KIB, ms, seconds, us
 
 
 def test_three_hosts_forwarding_isolated():
@@ -74,12 +75,9 @@ def test_reassembly_table_bounded_under_loss():
     assert switch.fragments_dropped > 0
 
 
-@pytest.mark.parametrize("duplicate", [False, True])
-def test_duplicate_fragment_does_not_complete_a_datagram(duplicate):
-    # Three frames on client1's uplink are lost.  Duplicates of the
-    # damaged datagrams' other fragments must not count toward
-    # reassembly, so each damaged WRITE still times out and is sent
-    # again, as it is with no duplicates.
+def _damaged_fleet(duplicate):
+    """Two clients; three frames on client1's uplink are lost and, with
+    ``duplicate``, a fifth of its frames arrive twice."""
     topo = Topology(
         clients=ClientSpec(mount=MountConfig(timeo_ns=ms(20))).replicate(2)
     )
@@ -88,5 +86,28 @@ def test_duplicate_fragment_does_not_complete_a_datagram(duplicate):
         faults.append(Duplicate(random.Random(7), probability=0.2, lag_ns=us(30)))
     topo.switch.install_fault("client1", uplink=FaultChain(faults))
     FleetWorkload(topo, 96 * KIB).run()
+    return topo
+
+
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_duplicate_fragment_does_not_complete_a_datagram(duplicate):
+    # Duplicates of the damaged datagrams' other fragments must not
+    # count toward reassembly, so each damaged WRITE still times out
+    # and is sent again, as it is with no duplicates.
+    topo = _damaged_fleet(duplicate)
     retransmits = [stack.nfs.xprt.stats.retransmits for stack in topo.clients]
     assert retransmits == [0, 2]
+
+
+def test_reassembly_entries_expire_after_ipfrag_time():
+    topo = _damaged_fleet(duplicate=True)
+    sim, filer = topo.sim, topo.server(0)
+    port = filer.host.port
+    # Damaged datagrams, and duplicates of completed ones, left entries.
+    assert port._partial
+    sim.run(until=sim.now + IPFRAG_TIME_NS + seconds(1))
+    # Expiry is checked when a datagram's first fragment arrives.
+    sock = topo.client(0).host.udp.socket(4000)
+    sock.sendto(filer.host.name, 4000, "late", 8 * KIB)
+    sim.run(until=sim.now + ms(1))
+    assert port._partial == {} and port._born == {}

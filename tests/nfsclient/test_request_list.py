@@ -55,6 +55,26 @@ def test_fenwick_matches_naive_ranks(indices):
         assert fw.rank(probe) == naive
 
 
+@given(
+    st.sets(st.integers(min_value=0, max_value=500), min_size=1, max_size=60),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_fenwick_matches_naive_ranks_after_discards(indices, data):
+    # Discarding the highest pages leaves the highest page ever added
+    # above every occupied one; ranks past it and below it stay exact.
+    fw = Fenwick(size=8)
+    for idx in indices:
+        fw.add(idx)
+    ordered = sorted(indices)
+    gone = ordered[-data.draw(st.integers(1, len(ordered))):]
+    for idx in gone:
+        fw.discard(idx)
+    kept = ordered[: len(ordered) - len(gone)]
+    for probe in ordered + [0, 250, 501, 1000]:
+        assert fw.rank(probe) == sum(1 for i in kept if i < probe)
+
+
 # --- SortedListIndex ----------------------------------------------------------
 
 

@@ -17,13 +17,24 @@ gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
 
 
-def _result(correct=True, spawn=10, execute=20, obs=30):
+COMMITTED = {
+    "sim.spawn.calls": 10,
+    "sim.execute.calls": 20,
+    "obs.calls": 30,
+    "sim.calls": 40,
+    "net.calls": 50,
+}
+
+
+def _result(correct=True, spawn=10, execute=20, obs=30, sim=40, net=50):
     return {
         "correct": correct,
         "metrics": {
             "sim.spawn.calls": {"value": spawn, "unit": "count"},
             "sim.execute.calls": {"value": execute, "unit": "count"},
             "obs.calls": {"value": obs, "unit": "count"},
+            "sim.calls": {"value": sim, "unit": "count"},
+            "net.calls": {"value": net, "unit": "count"},
         },
     }
 
@@ -54,11 +65,14 @@ def test_newest_bench_is_the_highest_number(tmp_path):
         (_result(execute=21), ["sim.execute.calls"]),
         (_result(obs=31), ["obs.calls"]),
         (_result(correct=False), ["correct"]),
+        (_result(sim=39, net=1), []),
+        (_result(sim=41), ["sim.calls"]),
+        (_result(net=51), ["net.calls"]),
+        (_result(sim=41, net=51), ["sim.calls", "net.calls"]),
     ],
 )
 def test_gate_fails_on_a_wrong_run_or_a_count_above_the_committed(result, failing):
-    committed = {"sim.spawn.calls": 10, "sim.execute.calls": 20, "obs.calls": 30}
-    found = gate.problems(result, committed)
+    found = gate.problems(result, COMMITTED)
     assert len(found) == len(failing)
     for problem, name in zip(found, failing):
         assert name in problem

@@ -19,7 +19,7 @@ def test_single_cpu_serializes_work():
     finished = []
 
     def worker(tag):
-        yield from cpus.execute(us(10), label=f"w{tag}")
+        yield cpus.execute(us(10), label=f"w{tag}")
         finished.append((tag, sim.now))
 
     sim.spawn(worker(0))
@@ -34,7 +34,7 @@ def test_two_cpus_run_in_parallel():
     finished = []
 
     def worker(tag):
-        yield from cpus.execute(us(10), label="work")
+        yield cpus.execute(us(10), label="work")
         finished.append((tag, sim.now))
 
     sim.spawn(worker(0))
@@ -49,17 +49,17 @@ def test_priority_queue_prefers_interrupts():
     order = []
 
     def hog():
-        yield from cpus.execute(us(10), label="hog")
+        yield cpus.execute(us(10), label="hog")
         order.append("hog")
 
     def user():
         yield sim.timeout(1)
-        yield from cpus.execute(us(5), label="user", priority=PRIO_USER)
+        yield cpus.execute(us(5), label="user", priority=PRIO_USER)
         order.append("user")
 
     def intr():
         yield sim.timeout(2)
-        yield from cpus.execute(us(1), label="intr", priority=PRIO_INTERRUPT)
+        yield cpus.execute(us(1), label="intr", priority=PRIO_INTERRUPT)
         order.append("intr")
 
     sim.spawn(hog())
@@ -74,9 +74,9 @@ def test_time_accounting_by_label():
     cpus = CpuSet(sim, 2)
 
     def worker():
-        yield from cpus.execute(us(10), label="alpha")
-        yield from cpus.execute(us(20), label="beta")
-        yield from cpus.execute(us(5), label="alpha")
+        yield cpus.execute(us(10), label="alpha")
+        yield cpus.execute(us(20), label="beta")
+        yield cpus.execute(us(5), label="alpha")
 
     sim.spawn(worker())
     sim.run()
@@ -90,13 +90,48 @@ def test_zero_duration_execute_is_free():
     cpus = CpuSet(sim, 1)
 
     def worker():
-        yield from cpus.execute(0, label="nothing")
+        yield cpus.execute(0, label="nothing")
         return sim.now
 
     task = sim.spawn(worker())
     sim.run()
     assert task.result == 0
     assert "nothing" not in cpus.time_by_label
+    # The task's first step is the only event.
+    assert sim.events_processed == 1
+
+
+def test_a_run_of_zero_duration_slots_neither_recurses_nor_schedules():
+    sim = Simulator()
+    cpus = CpuSet(sim, 1)
+
+    def worker():
+        for _ in range(5000):
+            yield cpus.execute(0, label="nothing")
+        return sim.now
+
+    task = sim.spawn(worker())
+    sim.run()
+    assert task.done and task.error is None
+    assert task.result == 0
+    assert sim.events_processed == 1
+
+
+def test_slot_continuation_is_bound_when_yielded():
+    sim = Simulator()
+    cpus = CpuSet(sim, 1)
+    resumed = []
+
+    def worker():
+        slot = cpus.execute(us(10), label="work")
+        yield sim.timeout(us(1))
+        resumed.append(("timeout", sim.now))
+        yield slot
+        resumed.append(("slot", sim.now))
+
+    sim.spawn(worker())
+    sim.run()
+    assert resumed == [("timeout", us(1)), ("slot", us(10))]
 
 
 def test_callback_and_task_slots_resume_in_submission_order():
@@ -108,7 +143,7 @@ def test_callback_and_task_slots_resume_in_submission_order():
         resumed.append((tag, sim.now))
 
     def worker(tag):
-        yield from cpus.execute(us(10), label="task")
+        yield cpus.execute(us(10), label="task")
         note(tag)
 
     # Four slots submitted in this order at t=0 all end at us(10).
@@ -164,7 +199,7 @@ def test_callback_slots_charge_time_by_label_like_task_slots():
         else:
             def worker():
                 for duration, label in work:
-                    yield from cpus.execute(duration, label=label)
+                    yield cpus.execute(duration, label=label)
 
             sim.spawn(worker())
         sim.run()
@@ -179,7 +214,7 @@ def test_negative_duration_rejected():
     cpus = CpuSet(sim, 1)
 
     def worker():
-        yield from cpus.execute(-1)
+        yield cpus.execute(-1)
 
     sim.spawn(worker(), daemon=True)
     sim.run()
@@ -190,7 +225,7 @@ def test_utilization():
     cpus = CpuSet(sim, 2)
 
     def worker():
-        yield from cpus.execute(us(10), label="w")
+        yield cpus.execute(us(10), label="w")
 
     sim.spawn(worker())
     sim.run(until=us(10))
@@ -209,8 +244,8 @@ def test_profiler_samples_busy_labels():
     prof = SamplingProfiler(sim, cpus, period=us(1))
 
     def worker():
-        yield from cpus.execute(us(100), label="hot")
-        yield from cpus.execute(us(10), label="cool")
+        yield cpus.execute(us(100), label="hot")
+        yield cpus.execute(us(10), label="cool")
 
     prof.start()
     sim.spawn(worker())

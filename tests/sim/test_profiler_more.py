@@ -39,7 +39,7 @@ def test_multi_core_samples_all_cores():
     prof = SamplingProfiler(sim, cpus, period=us(1))
 
     def worker(label):
-        yield from cpus.execute(us(20), label=label)
+        yield cpus.execute(us(20), label=label)
 
     prof.start()
     sim.spawn(worker("alpha"))
@@ -58,8 +58,8 @@ def test_fraction_sums_to_one_over_busy_labels():
     prof = SamplingProfiler(sim, cpus, period=us(1))
 
     def worker():
-        yield from cpus.execute(us(30), label="a")
-        yield from cpus.execute(us(10), label="b")
+        yield cpus.execute(us(30), label="a")
+        yield cpus.execute(us(10), label="b")
 
     prof.start()
     sim.spawn(worker())

@@ -62,7 +62,7 @@ def test_cpu_conserves_work(ncpus, durations):
     cpus = CpuSet(sim, ncpus)
 
     def worker(duration):
-        yield from cpus.execute(duration, label="w")
+        yield cpus.execute(duration, label="w")
 
     for duration in durations:
         sim.spawn(worker(duration))

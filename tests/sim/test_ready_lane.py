@@ -26,38 +26,42 @@ class _HeapLane:
 
     def append(self, entry):
         seq, fn, args = entry
-        heapq.heappush(self._ref._heap, (self._ref.now, seq, fn, args, None))
+        heapq.heappush(self._ref._queue, (self._ref.now, seq, fn, args))
 
 
 class Reference:
-    """One heap of ``(time, seq, fn, args, handle)``: the schedule before
-    the ready lane, and the order the :class:`Simulator` must keep."""
+    """One heap of ``(time, seq, fn, args)``: the schedule before the
+    ready lane, and the order the :class:`Simulator` must keep.
+
+    CPU slots push their completions onto ``_queue`` directly, as they
+    do on the :class:`Simulator`'s heap.  A cancellable entry's handle
+    is kept by its ``seq``.
+    """
 
     def __init__(self):
         self.now = self._seq = self.events_processed = 0
-        self._heap = []
+        self._queue = []
         self._ready = _HeapLane(self)
+        self._handles = {}
         self.current_task = None
 
-    def alloc_seq(self):
-        self._seq += 1
-        return self._seq
-
-    def push_at(self, time, seq, fn, *args, handle=None):
+    def _push(self, time, fn, args):
         if time < self.now:
             raise SimulationError("in the past")
-        heapq.heappush(self._heap, (time, seq, fn, args, handle))
-        return handle
+        self._seq += 1
+        heapq.heappush(self._queue, (time, self._seq, fn, args))
+        return self._seq
 
     def call_at(self, time, fn, *args):
-        return self.push_at(time, self.alloc_seq(), fn, *args)
+        self._push(time, fn, args)
 
     def call_after(self, delay, fn, *args):
-        return self.call_at(self.now + delay, fn, *args)
+        self.call_at(self.now + delay, fn, *args)
 
     def schedule(self, delay, fn, *args):
         handle = EventHandle(self.now + delay, fn, args)  # only its flag is used
-        return self.push_at(handle.time, self.alloc_seq(), fn, *args, handle=handle)
+        self._handles[self._push(handle.time, fn, args)] = handle
+        return handle
 
     def run(self, until=None):
         return self.run_until(lambda: False, until, stop_at_limit=True)
@@ -66,9 +70,10 @@ class Reference:
         return self.run_until(lambda: all(t.done for t in tasks), limit)
 
     def run_until(self, predicate, limit=None, stop_at_limit=False):
-        heap = self._heap
+        heap = self._queue
         while not predicate() and heap:
-            time, _seq, fn, args, handle = heap[0]
+            time, seq, fn, args = heap[0]
+            handle = self._handles.get(seq)
             if handle is not None and handle.cancelled:
                 heapq.heappop(heap)
                 continue
@@ -88,7 +93,7 @@ class Reference:
 
 # A node is (kind, delay, children): performing it schedules a callback
 # that logs its label and clock, then performs the children.
-KINDS = ("after", "after", "at", "schedule", "cancel", "reserve", "flush", "spawn", "slot")
+KINDS = ("after", "after", "at", "schedule", "cancel", "spawn", "slot")
 DELAYS = st.sampled_from((0, 0, 0, 1, 2, 5, 10))
 NODES = st.recursive(
     st.tuples(st.sampled_from(KINDS), DELAYS, st.just(())),
@@ -114,7 +119,6 @@ class World:
         self.cpus = CpuSet(sim, 1)
         self.log = []
         self.handles = []
-        self.reserved = []
         self.tasks = []
         self._labels = 0
 
@@ -134,13 +138,6 @@ class World:
                 self.handles[delay % len(self.handles)].cancel()
             for child in children:
                 self.perform(child)
-        elif kind == "reserve":
-            self.reserved.append((sim.now + delay, sim.alloc_seq(), label, children))
-        elif kind == "flush":
-            for time, seq, held, kids in self.reserved:
-                if time >= sim.now:
-                    sim.push_at(time, seq, self.fire, held, kids)
-            self.reserved.clear()
         elif kind == "spawn":
             self.tasks.append(Task(sim, self.body(label, delay, children)))
         else:
@@ -152,8 +149,12 @@ class World:
             self.perform(child)
 
     def body(self, label, delay, children):
+        # Odd steps wait for a CPU slot, zero-length ones included.
         for step, child in enumerate(children):
-            yield Timeout(self.sim, delay)
+            if step % 2:
+                yield self.cpus.execute(delay, "task")
+            else:
+                yield Timeout(self.sim, delay)
             self.log.append((label, step, self.sim.now))
             self.perform(child)
         return label
@@ -193,16 +194,15 @@ def test_heap_entry_due_now_with_lower_seq_runs_before_the_ready_lane():
     fired = []
 
     def at_ten():
-        reserved = sim.alloc_seq()  # as Link.send reserves a frame's key
+        sim.call_at(sim.now, fired.append, "call_at-1")
         sim.schedule(0, fired.append, "handle")
         sim.call_after(0, fired.append, "ready-1")
-        sim.push_at(sim.now, reserved, fired.append, "pushed")
         sim.call_after(0, fired.append, "ready-2")
-        sim.call_at(sim.now, fired.append, "call_at")
+        sim.call_at(sim.now, fired.append, "call_at-2")
 
     sim.call_after(10, at_ten)
     sim.run()
-    assert fired == ["pushed", "handle", "ready-1", "ready-2", "call_at"]
+    assert fired == ["call_at-1", "handle", "ready-1", "ready-2", "call_at-2"]
     assert sim.now == 10
 
 
