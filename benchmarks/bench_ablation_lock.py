@@ -5,8 +5,6 @@ and the daemons time-share anyway, so releasing the lock around
 sock_sendmsg buys much less than on two CPUs.
 """
 
-from dataclasses import replace
-
 from repro.bench import TestBed
 from repro.config import ClientHwConfig, NfsClientConfig
 from repro.units import MB
@@ -14,13 +12,13 @@ from repro.units import MB
 FILE_MB = 10
 
 HASH = NfsClientConfig(eager_flush_limits=False, hashtable_index=True)
-NOLOCK = replace(HASH, release_bkl_for_send=True)
+NOLOCK = HASH.replace(release_bkl_for_send=True)
 
 
 def run_matrix():
     out = {}
     for ncpus in (1, 2):
-        hw = replace(ClientHwConfig(), ncpus=ncpus)
+        hw = ClientHwConfig(ncpus=ncpus)
         for label, cfg in (("bkl", HASH), ("nolock", NOLOCK)):
             bed = TestBed(target="netapp", client=cfg, hw=hw)
             result = bed.run_sequential_write(FILE_MB * MB)

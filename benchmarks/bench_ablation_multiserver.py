@@ -9,8 +9,6 @@ lock-released client must get more aggregate memory-write throughput
 out of its two CPUs than the stock one.
 """
 
-from dataclasses import replace
-
 from repro.bench import TestBed
 from repro.bench.workloads import run_workload
 from repro.config import FilerConfig, NfsClientConfig
@@ -20,7 +18,7 @@ from repro.units import MB
 
 BYTES_EACH = 4 * MB
 HASH = NfsClientConfig(eager_flush_limits=False, hashtable_index=True)
-NOLOCK = replace(HASH, release_bkl_for_send=True)
+NOLOCK = HASH.replace(release_bkl_for_send=True)
 
 
 def run_two_servers(cfg):

@@ -6,8 +6,6 @@ matching request (in nfs_updatepage)."  The `single_search` knob does
 exactly that; the gain should be small but real for the list index.
 """
 
-from dataclasses import replace
-
 from repro.bench import TestBed
 from repro.config import NfsClientConfig
 from repro.units import MB, to_us
@@ -20,7 +18,7 @@ def run_pair():
     out = {}
     for label, single in (("double", False), ("single", True)):
         bed = TestBed(
-            target="netapp", client=replace(LIST_CLIENT, single_search=single)
+            target="netapp", client=LIST_CLIENT.replace(single_search=single)
         )
         result = bed.run_sequential_write(FILE_MB * MB)
         out[label] = {

@@ -6,8 +6,6 @@ shows the mechanism: more slots = more concurrent wire work per unit
 time = more contention with the writer under the stock lock.
 """
 
-from dataclasses import replace
-
 from repro.bench import TestBed
 from repro.config import NfsClientConfig
 from repro.units import MB
@@ -19,7 +17,7 @@ BASE = NfsClientConfig(eager_flush_limits=False, hashtable_index=True)
 def run_sweep():
     out = {}
     for slots in (2, 8, 16, 32):
-        bed = TestBed(target="netapp", client=replace(BASE, rpc_slots=slots))
+        bed = TestBed(target="netapp", client=BASE.replace(rpc_slots=slots))
         result = bed.run_sequential_write(FILE_MB * MB)
         out[slots] = {
             "write_mbps": result.write_mbps,

@@ -9,8 +9,6 @@ throughput must rise sub-linearly, and the stock lock must hurt more as
 writers are added.
 """
 
-from dataclasses import replace
-
 from repro.bench import TestBed
 from repro.bench.workloads import sequential_writers
 from repro.config import NfsClientConfig
@@ -18,7 +16,7 @@ from repro.units import MB
 
 BYTES_EACH = 4 * MB
 HASH = NfsClientConfig(eager_flush_limits=False, hashtable_index=True)
-NOLOCK = replace(HASH, release_bkl_for_send=True)
+NOLOCK = HASH.replace(release_bkl_for_send=True)
 
 
 def run_scaling():

@@ -8,21 +8,24 @@ the measured one.  EXPERIMENTS.md is generated from these records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 __all__ = ["Check", "Comparison"]
 
 
-@dataclass
 class Check:
     """One shape criterion."""
 
-    name: str
-    passed: bool
-    paper: str
-    measured: str
-    note: str = ""
+    __slots__ = ("name", "passed", "paper", "measured", "note")
+
+    def __init__(
+        self, name: str, passed: bool, paper: str, measured: str, note: str = ""
+    ):
+        self.name = name
+        self.passed = passed
+        self.paper = paper
+        self.measured = measured
+        self.note = note
 
     def row(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
@@ -30,12 +33,14 @@ class Check:
         return f"[{flag}] {self.name}: paper={self.paper} measured={self.measured}{note}"
 
 
-@dataclass
 class Comparison:
     """All checks for one experiment."""
 
-    experiment: str
-    checks: List[Check] = field(default_factory=list)
+    __slots__ = ("experiment", "checks")
+
+    def __init__(self, experiment: str, checks: Optional[List[Check]] = None):
+        self.experiment = experiment
+        self.checks = [] if checks is None else checks
 
     def add(
         self,

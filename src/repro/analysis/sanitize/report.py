@@ -10,7 +10,6 @@ flag reports (``sanitize-locks``, ``sanitize-races``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
 __all__ = ["RuntimeFinding", "group_findings", "CATEGORY_GROUPS"]
@@ -28,13 +27,15 @@ CATEGORY_GROUPS: Dict[str, str] = {
 }
 
 
-@dataclass
 class RuntimeFinding:
     """One violated property, with a human-readable witness."""
 
-    category: str
-    message: str
-    time_ns: int = 0
+    __slots__ = ("category", "message", "time_ns")
+
+    def __init__(self, category: str, message: str, time_ns: int = 0):
+        self.category = category
+        self.message = message
+        self.time_ns = time_ns
 
     def __str__(self) -> str:
         return f"[{self.category}] t={self.time_ns}ns: {self.message}"

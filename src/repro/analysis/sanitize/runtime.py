@@ -27,7 +27,6 @@ three extra scenario invariants (``sanitize-locks``, ``sanitize-races``,
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .invariants import FifoSanitizer, audit_accounting, audit_stable_bytes
@@ -45,14 +44,22 @@ __all__ = [
 ]
 
 
-@dataclass
 class SanitizeConfig:
     """Which sanitizer families to attach."""
 
-    lock_order: bool = True
-    race: bool = True
-    fifo: bool = True
-    invariants: bool = True
+    __slots__ = ("lock_order", "race", "fifo", "invariants")
+
+    def __init__(
+        self,
+        lock_order: bool = True,
+        race: bool = True,
+        fifo: bool = True,
+        invariants: bool = True,
+    ):
+        self.lock_order = lock_order
+        self.race = race
+        self.fifo = fifo
+        self.invariants = invariants
 
 
 class SanitizerHarness:

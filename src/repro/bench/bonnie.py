@@ -10,7 +10,6 @@ paper's key diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import ConfigError
@@ -22,19 +21,39 @@ from .latency import LatencyTrace
 __all__ = ["BenchmarkResult", "SequentialWriteBenchmark"]
 
 
-@dataclass
 class BenchmarkResult:
-    """Cumulative timings and the latency trace of one run."""
+    """Cumulative timings and the latency trace of one run.
 
-    file_bytes: int
-    chunk_bytes: int
-    #: Elapsed ns from benchmark start until after the last write().
-    write_elapsed_ns: int = 0
-    #: ... until after the fsync() (equals write_elapsed_ns if skipped).
-    flush_elapsed_ns: int = 0
-    #: ... until after the close().
-    close_elapsed_ns: int = 0
-    trace: LatencyTrace = field(default_factory=LatencyTrace)
+    ``write_elapsed_ns`` runs from the benchmark's start until after
+    the last write(), ``flush_elapsed_ns`` until after the fsync()
+    (equal to it when skipped), ``close_elapsed_ns`` until after the
+    close().
+    """
+
+    __slots__ = (
+        "file_bytes",
+        "chunk_bytes",
+        "write_elapsed_ns",
+        "flush_elapsed_ns",
+        "close_elapsed_ns",
+        "trace",
+    )
+
+    def __init__(
+        self,
+        file_bytes: int,
+        chunk_bytes: int,
+        write_elapsed_ns: int = 0,
+        flush_elapsed_ns: int = 0,
+        close_elapsed_ns: int = 0,
+        trace: Optional[LatencyTrace] = None,
+    ):
+        self.file_bytes = file_bytes
+        self.chunk_bytes = chunk_bytes
+        self.write_elapsed_ns = write_elapsed_ns
+        self.flush_elapsed_ns = flush_elapsed_ns
+        self.close_elapsed_ns = close_elapsed_ns
+        self.trace = LatencyTrace() if trace is None else trace
 
     @property
     def write_throughput(self) -> float:

@@ -19,7 +19,6 @@ config passed for a target that would have silently ignored it is now a
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from typing import Optional, Union
 
@@ -98,7 +97,7 @@ class TestBed:
             # client's NetConfig (including injected loss), except for
             # linux-100's fixed fast Ethernet.
             if net is not None and server.kind in ("netapp", "linux"):
-                server = dataclasses.replace(server, net=net)
+                server = server.replace(net=net)
 
         spec = ClientSpec(
             client=client, hw=hw, net=net, mount=mount, name="client"

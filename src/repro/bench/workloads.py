@@ -30,7 +30,6 @@ fleets stay bit-reproducible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
 
 from ..errors import ConfigError
@@ -82,7 +81,6 @@ def trace_sha(latencies_ns) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@dataclass
 class WorkloadOutcome:
     """The reduced outcome of one generic workload body.
 
@@ -90,11 +88,21 @@ class WorkloadOutcome:
     figures (they enter the run fingerprint through the row).
     """
 
-    workload: str
-    bytes_written: int = 0
-    ops: int = 0
-    trace: LatencyTrace = field(default_factory=LatencyTrace)
-    extra: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("workload", "bytes_written", "ops", "trace", "extra")
+
+    def __init__(
+        self,
+        workload: str,
+        bytes_written: int = 0,
+        ops: int = 0,
+        trace: Optional[LatencyTrace] = None,
+        extra: Optional[Dict[str, Any]] = None,
+    ):
+        self.workload = workload
+        self.bytes_written = bytes_written
+        self.ops = ops
+        self.trace = LatencyTrace() if trace is None else trace
+        self.extra = {} if extra is None else extra
 
 
 def workload_row(
@@ -534,13 +542,20 @@ class RandomWriteWorkload(Workload):
 # -- legacy free-function drivers ---------------------------------------------
 
 
-@dataclass
 class WorkloadResult:
     """Aggregate outcome of a multi-task workload."""
 
-    bytes_written: int
-    elapsed_ns: int
-    traces: List[LatencyTrace] = field(default_factory=list)
+    __slots__ = ("bytes_written", "elapsed_ns", "traces")
+
+    def __init__(
+        self,
+        bytes_written: int,
+        elapsed_ns: int,
+        traces: Optional[List[LatencyTrace]] = None,
+    ):
+        self.bytes_written = bytes_written
+        self.elapsed_ns = elapsed_ns
+        self.traces = [] if traces is None else traces
 
     @property
     def total_throughput(self) -> float:

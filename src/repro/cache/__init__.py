@@ -4,8 +4,9 @@ Simulation points are pure functions of their configuration, so their
 results can be memoised across processes and sessions.  A cache key is
 the SHA-256 of
 
-* the **canonical JSON** of the point's configuration (every dataclass
-  field, recursively, with sorted keys), and
+* the **canonical JSON** of the point's configuration (every field of
+  every :class:`~repro.value.Value` and dataclass, recursively, with
+  sorted keys), and
 * a **code version token** — a hash over the source text of the whole
   ``repro`` package, so any code change invalidates every entry rather
   than serving stale numbers.
@@ -18,7 +19,6 @@ corruption by treating the entry as a miss; writes are atomic
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -26,6 +26,8 @@ import os
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional
+
+from ..value import Value
 
 __all__ = [
     "ResultCache",
@@ -69,14 +71,25 @@ def code_version_token() -> str:
 
 
 def _jsonable(value: Any) -> Any:
-    """Reduce configs to canonically serialisable structures."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    """Reduce configs to canonically serialisable structures.
+
+    A :class:`~repro.value.Value` and a dataclass instance both become
+    their class name under ``"__dataclass__"`` plus their fields, so a
+    spec's key does not depend on which of the two defines it.
+    """
+    names = None
+    if isinstance(value, Value):
+        names = value.FIELDS
+    elif hasattr(type(value), "__dataclass_fields__"):
+        # Only tooling specs (``JobSpec``) are dataclasses, and their
+        # modules have imported ``dataclasses`` already.
+        import dataclasses
+
+        names = [f.name for f in dataclasses.fields(value)]
+    if names is not None:
         return {
             "__dataclass__": type(value).__name__,
-            **{
-                f.name: _jsonable(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            },
+            **{name: _jsonable(getattr(value, name)) for name in names},
         }
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -86,7 +99,7 @@ def _jsonable(value: Any) -> Any:
         return value
     raise TypeError(
         f"cannot fingerprint {type(value).__name__!r}; "
-        "job specs must be built from dataclasses and plain values"
+        "job specs must be built from Value records, dataclasses and plain values"
     )
 
 

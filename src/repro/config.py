@@ -1,4 +1,4 @@
-"""Configuration dataclasses and paper-derived calibration constants.
+"""Configuration value objects and paper-derived calibration constants.
 
 Every tunable of the simulated test bed lives here, so experiments can
 describe themselves entirely in terms of configuration objects.  Default
@@ -8,11 +8,9 @@ values reproduce the paper's hardware (§3.1) and the costs it measured
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
-
 from .errors import ConfigError
 from .units import MIB, PAGE_SIZE, gbit, mbit, mbps, us
+from .value import Value
 
 __all__ = [
     "CpuCosts",
@@ -35,8 +33,7 @@ MAX_REQUEST_SOFT = 192
 MAX_REQUEST_HARD = 256
 
 
-@dataclass(frozen=True)
-class CpuCosts:
+class CpuCosts(Value):
     """CPU time charged for the client-side operations we model.
 
     All values are nanoseconds.  Calibrated so that the healthy write
@@ -82,8 +79,7 @@ class CpuCosts:
     instrumentation: int = us(2)
 
 
-@dataclass(frozen=True)
-class ClientHwConfig:
+class ClientHwConfig(Value):
     """The dual-processor client machine of §3.1."""
 
     ncpus: int = 2
@@ -95,7 +91,7 @@ class ClientHwConfig:
     dirty_limit_fraction: float = 0.75
     #: Dirty fraction at which background writeback kicks in.
     dirty_background_fraction: float = 0.30
-    costs: CpuCosts = field(default_factory=CpuCosts)
+    costs: CpuCosts = CpuCosts()
 
     def __post_init__(self) -> None:
         if self.ncpus < 1:
@@ -119,8 +115,7 @@ class ClientHwConfig:
         return int(self.cache_bytes * self.dirty_background_fraction)
 
 
-@dataclass(frozen=True)
-class NetConfig:
+class NetConfig(Value):
     """One full-duplex Ethernet path client<->server through the switch."""
 
     bandwidth_bytes_per_sec: float = gbit(1)
@@ -150,8 +145,7 @@ class NetConfig:
         return NetConfig(bandwidth_bytes_per_sec=mbit(100), latency_ns=us(60))
 
 
-@dataclass(frozen=True)
-class MountConfig:
+class MountConfig(Value):
     """NFS mount options (§3.1: NFSv3, rsize=wsize=8192)."""
 
     wsize: int = 8192
@@ -190,8 +184,7 @@ class MountConfig:
             raise ConfigError("jukebox_delay_ns must be >= 0")
 
 
-@dataclass(frozen=True)
-class NfsClientConfig:
+class NfsClientConfig(Value):
     """Behavioural switches distinguishing the paper's client variants."""
 
     #: Apply the MAX_REQUEST_SOFT / MAX_REQUEST_HARD flush thresholds
@@ -222,8 +215,7 @@ class NfsClientConfig:
         return "+".join(bits)
 
 
-@dataclass(frozen=True)
-class FilerConfig:
+class FilerConfig(Value):
     """The prototype Network Appliance F85 (§3.1).
 
     Sustained network write throughput ~38 MBps; writes land in NVRAM and
@@ -244,8 +236,7 @@ class FilerConfig:
     name: str = "netapp-f85"
 
 
-@dataclass(frozen=True)
-class LinuxServerConfig:
+class LinuxServerConfig(Value):
     """The four-way Linux 2.4.4 knfsd server (§3.1).
 
     Network ingest ~26 MBps (gigabit NIC in a 32-bit/33 MHz PCI slot);
@@ -265,8 +256,7 @@ class LinuxServerConfig:
     name: str = "linux-nfsd"
 
 
-@dataclass(frozen=True)
-class LocalFsConfig:
+class LocalFsConfig(Value):
     """Client-local ext2 on the IBM Deskstar EIDE drive (§3.1).
 
     The ServerWorks south bridge limits the IDE controller to multiword
@@ -288,8 +278,7 @@ def scaled(hw: ClientHwConfig, factor: float) -> ClientHwConfig:
     """
     if factor <= 0:
         raise ConfigError("scale factor must be positive")
-    return replace(
-        hw,
+    return hw.replace(
         ram_bytes=int(hw.ram_bytes / factor),
         reserved_bytes=int(hw.reserved_bytes / factor),
     )

@@ -40,5 +40,12 @@ def fragment_sizes(payload_bytes: int, net: NetConfig) -> List[int]:
 
 
 def fragment_count(payload_bytes: int, net: NetConfig) -> int:
-    """Number of fragments a datagram of ``payload_bytes`` needs."""
-    return len(fragment_sizes(payload_bytes, net))
+    """Number of fragments a datagram of ``payload_bytes`` needs:
+    ``len(fragment_sizes(payload_bytes, net))``, without the list."""
+    if payload_bytes < 0:
+        raise ConfigError(f"negative payload {payload_bytes}")
+    max_frag_payload = (net.mtu - net.header_bytes) // 8 * 8
+    if max_frag_payload <= 0:
+        raise ConfigError(f"MTU {net.mtu} cannot carry any payload")
+    # An empty datagram still travels as one fragment.
+    return max(1, -(-payload_bytes // max_frag_payload))

@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["Datagram", "Fragment"]
 
 
-@dataclass(slots=True)
-class Datagram:
+class Datagram(NamedTuple):
     """A UDP datagram addressed host-to-host.
 
     ``payload`` is the simulated message object (e.g. an RPC call);
     ``size`` is the UDP payload size in bytes, which drives wire timing.
+    ``dgram_id`` keys IP reassembly; the sender draws it from the
+    switch (:meth:`~repro.net.switch.Switch.next_dgram_id`).
     """
 
     src: str
@@ -25,8 +25,7 @@ class Datagram:
     dgram_id: int = 0
 
 
-@dataclass(slots=True)
-class Fragment:
+class Fragment(NamedTuple):
     """One IP fragment of a datagram, as it appears on the wire."""
 
     dgram: Datagram

@@ -93,8 +93,11 @@ class Port:
     # -- transmit -----------------------------------------------------------
 
     def send_datagram(self, dgram: Datagram) -> None:
-        """Fragment ``dgram`` per this port's MTU and launch it."""
-        dgram.dgram_id = self.switch._next_dgram_id()
+        """Fragment ``dgram`` per this port's MTU and launch it.
+
+        The sender has drawn its ``dgram_id`` from
+        :meth:`Switch.next_dgram_id`.
+        """
         sizes = self._frag_sizes.get(dgram.size)
         if sizes is None:
             sizes = fragment_sizes(dgram.size, self.net)
@@ -246,6 +249,7 @@ class Switch:
             return
         dst.downlink.send(frag.wire_bytes, dst._arrive, frag)
 
-    def _next_dgram_id(self) -> int:
+    def next_dgram_id(self) -> int:
+        """A fresh datagram id: reassembly keys fragments on it."""
         self._dgram_seq += 1
         return self._dgram_seq

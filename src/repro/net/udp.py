@@ -46,15 +46,19 @@ class UdpSocket:
         """Hand a datagram to the wire (timing handled by the links)."""
         if self.closed:
             raise ProtocolError(f"sendto on closed socket :{self.port}")
-        dgram = Datagram(
-            src=self._stack.host.name,
-            src_port=self.port,
-            dst=dst_host,
-            dst_port=dst_port,
-            payload=payload,
-            size=size,
+        host = self._stack.host
+        port = host.port
+        port.send_datagram(
+            Datagram(
+                src=host.name,
+                src_port=self.port,
+                dst=dst_host,
+                dst_port=dst_port,
+                payload=payload,
+                size=size,
+                dgram_id=port.switch.next_dgram_id(),
+            )
         )
-        self._stack.host.port.send_datagram(dgram)
 
     def recv(self):
         """Generator: next datagram, blocking until one arrives."""

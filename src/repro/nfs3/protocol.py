@@ -12,7 +12,6 @@ COMMIT succeeds — the paper's "additional COMMIT RPC" distinction
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from ..rpc.messages import RPC_CALL_HEADER, RPC_REPLY_HEADER
 
@@ -54,83 +53,109 @@ class Stable(enum.IntEnum):
     FILE_SYNC = 2
 
 
-@dataclass
 class WriteArgs:
-    fileid: int
-    offset: int
-    count: int
-    stable: Stable = Stable.UNSTABLE
+    __slots__ = ("fileid", "offset", "count", "stable")
 
-    def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise ValueError(f"WRITE of {self.count} bytes")
-        if self.offset < 0:
-            raise ValueError(f"negative offset {self.offset}")
+    def __init__(
+        self, fileid: int, offset: int, count: int, stable: Stable = Stable.UNSTABLE
+    ):
+        if count <= 0:
+            raise ValueError(f"WRITE of {count} bytes")
+        if offset < 0:
+            raise ValueError(f"negative offset {offset}")
+        self.fileid = fileid
+        self.offset = offset
+        self.count = count
+        self.stable = stable
 
 
-@dataclass
 class WriteResult:
-    count: int
-    committed: Stable
-    verf: int = 0
-    #: Post-op attribute: the file's change token after this write, so
-    #: clients can keep their attribute cache coherent with their own
-    #: traffic (close-to-open without spurious invalidations).
-    change_id: int = 0
+    """``change_id`` is the post-op attribute: the file's change token
+    after this write, so clients can keep their attribute cache
+    coherent with their own traffic (close-to-open without spurious
+    invalidations)."""
+
+    __slots__ = ("count", "committed", "verf", "change_id")
+
+    def __init__(
+        self, count: int, committed: Stable, verf: int = 0, change_id: int = 0
+    ):
+        self.count = count
+        self.committed = committed
+        self.verf = verf
+        self.change_id = change_id
 
 
-@dataclass
 class ReadArgs:
-    fileid: int
-    offset: int
-    count: int
+    __slots__ = ("fileid", "offset", "count")
 
-    def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise ValueError(f"READ of {self.count} bytes")
-        if self.offset < 0:
-            raise ValueError(f"negative offset {self.offset}")
+    def __init__(self, fileid: int, offset: int, count: int):
+        if count <= 0:
+            raise ValueError(f"READ of {count} bytes")
+        if offset < 0:
+            raise ValueError(f"negative offset {offset}")
+        self.fileid = fileid
+        self.offset = offset
+        self.count = count
 
 
-@dataclass
 class ReadResult:
-    count: int
-    eof: bool
+    __slots__ = ("count", "eof")
+
+    def __init__(self, count: int, eof: bool):
+        self.count = count
+        self.eof = eof
 
 
-@dataclass
 class CommitArgs:
-    fileid: int
-    offset: int = 0
-    count: int = 0  # 0 = whole file
+    """``count`` 0 commits the whole file."""
+
+    __slots__ = ("fileid", "offset", "count")
+
+    def __init__(self, fileid: int, offset: int = 0, count: int = 0):
+        self.fileid = fileid
+        self.offset = offset
+        self.count = count
 
 
-@dataclass
 class CommitResult:
-    verf: int = 0
+    __slots__ = ("verf",)
+
+    def __init__(self, verf: int = 0):
+        self.verf = verf
 
 
-@dataclass
 class CreateArgs:
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass
 class CreateResult:
-    fileid: int
+    __slots__ = ("fileid",)
+
+    def __init__(self, fileid: int):
+        self.fileid = fileid
 
 
-@dataclass
 class LookupArgs:
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass
 class LookupResult:
-    fileid: int
-    size: int
-    #: Change-detection token (mtime stand-in) for close-to-open checks.
-    change_id: int
+    """``change_id`` is the change-detection token (mtime stand-in) for
+    close-to-open checks."""
+
+    __slots__ = ("fileid", "size", "change_id")
+
+    def __init__(self, fileid: int, size: int, change_id: int):
+        self.fileid = fileid
+        self.size = size
+        self.change_id = change_id
 
 
 def write_call_size(count: int) -> int:

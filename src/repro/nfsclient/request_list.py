@@ -63,11 +63,24 @@ class Fenwick:
         self.count += 1
 
     def discard(self, index: int) -> None:
-        if index >= self._size or not self.contains(index):
-            raise SimulationError(f"fenwick: removing absent index {index}")
+        tree = self._tree
         i = index + 1
+        here = 0
+        if 0 < i <= self._size:
+            # The count at ``index`` alone: node ``i`` covers positions
+            # ``(i - lowbit(i), i]``; take off the nodes that cover the
+            # rest of that range.  About one node on average, where
+            # ``contains`` would walk two full prefix sums.
+            here = tree[i]
+            covered_from = i - (i & (-i))
+            j = i - 1
+            while j > covered_from:
+                here -= tree[j]
+                j -= j & (-j)
+        if here <= 0:
+            raise SimulationError(f"fenwick: removing absent index {index}")
         while i <= self._size:
-            self._tree[i] -= 1
+            tree[i] -= 1
             i += i & (-i)
         self.count -= 1
 

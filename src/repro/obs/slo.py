@@ -29,11 +29,11 @@ sorted, floats come from identical operations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.stats import knee_point, mean, stddev
 from ..errors import ConfigError
+from ..value import Value
 from .timeseries import TimelineRegistry, WindowedHistogram
 
 __all__ = [
@@ -51,8 +51,7 @@ SLO_REPORT_SCHEMA = "repro-nfs/slo-report@1"
 REPORT_PERCENTILES = (50.0, 99.0, 99.9)
 
 
-@dataclass(frozen=True)
-class SloSpec:
+class SloSpec(Value):
     """One service-level objective over a windowed-histogram timeline."""
 
     #: Report label, e.g. ``"write-p99"``.

@@ -156,8 +156,6 @@ def run_job(spec) -> Any:
         if isinstance(spec, FleetJobSpec):
             return run_fleet_job(spec)
         raise ConfigError(f"unknown job spec type {type(spec).__name__}")
-    import dataclasses
-
     from ..bench.runner import TestBed
     from ..topology.spec import ServerSpec
 
@@ -171,7 +169,7 @@ def run_job(spec) -> Any:
     # applies to the server's switch port, except linux-100's fixed
     # fast Ethernet.
     if spec.net is not None and server.kind in ("netapp", "linux"):
-        server = dataclasses.replace(server, net=spec.net)
+        server = server.replace(net=spec.net)
     bed = TestBed(
         target=spec.target,
         client=spec.client,

@@ -7,7 +7,6 @@ opaque ``args``/``result`` payload interpreted by the bound program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = ["RpcCall", "RpcReply", "RPC_CALL_HEADER", "RPC_REPLY_HEADER"]
@@ -18,46 +17,47 @@ RPC_CALL_HEADER = 72
 RPC_REPLY_HEADER = 48
 
 
-@dataclass(slots=True)
 class RpcCall:
-    """One RPC call as it crosses the wire."""
+    """One RPC call as it crosses the wire.
 
-    xid: int
-    prog: str
-    proc: str
-    args: Any
-    #: UDP payload bytes (header + encoded arguments + inline data).
-    size: int
-    #: Causal span id (repro.obs); 0 when tracing is off.  A pure
-    #: annotation carried across the wire so server-side work can be
-    #: parented under the syscall that caused it.
-    span_id: int = 0
+    ``size`` is the UDP payload in bytes (header + encoded arguments +
+    inline data), at least :data:`RPC_CALL_HEADER`.  ``span_id`` is the
+    causal span id (repro.obs), 0 when tracing is off: a pure
+    annotation carried across the wire so server-side work can be
+    parented under the syscall that caused it.
+    """
 
-    def __post_init__(self) -> None:
-        if self.size < RPC_CALL_HEADER:
-            self.size = RPC_CALL_HEADER
+    __slots__ = ("xid", "prog", "proc", "args", "size", "span_id")
+
+    def __init__(
+        self, xid: int, prog: str, proc: str, args: Any, size: int, span_id: int = 0
+    ):
+        self.xid = xid
+        self.prog = prog
+        self.proc = proc
+        self.args = args
+        self.size = size if size > RPC_CALL_HEADER else RPC_CALL_HEADER
+        self.span_id = span_id
 
 
-@dataclass(slots=True)
 class RpcReply:
-    """The matching reply."""
+    """The matching reply; ``span_id`` is echoed from the call."""
 
-    xid: int
-    result: Any
-    size: int = field(default=RPC_REPLY_HEADER)
-    #: Causal span id echoed from the call (repro.obs annotation).
-    span_id: int = 0
+    __slots__ = ("xid", "result", "size", "span_id")
 
-    def __post_init__(self) -> None:
-        if self.size < RPC_REPLY_HEADER:
-            self.size = RPC_REPLY_HEADER
+    def __init__(
+        self, xid: int, result: Any, size: int = RPC_REPLY_HEADER, span_id: int = 0
+    ):
+        self.xid = xid
+        self.result = result
+        self.size = size if size > RPC_REPLY_HEADER else RPC_REPLY_HEADER
+        self.span_id = span_id
 
     @property
     def is_error(self) -> bool:
         return isinstance(self.result, RpcError)
 
 
-@dataclass(slots=True)
 class RpcError:
     """An error result (accept-stat != SUCCESS / NFS error status).
 
@@ -66,5 +66,8 @@ class RpcError:
     a soft-mount major timeout), or ``""`` for generic failures.
     """
 
-    message: str
-    code: str = ""
+    __slots__ = ("message", "code")
+
+    def __init__(self, message: str, code: str = ""):
+        self.message = message
+        self.code = code

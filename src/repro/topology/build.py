@@ -18,7 +18,6 @@ is now a thin shim over it.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..config import ClientHwConfig, MountConfig, NetConfig, NfsClientConfig
@@ -268,6 +267,6 @@ def _named_server_specs(specs: Sequence[ServerSpec]) -> List[ServerSpec]:
             name = f"{name}-{index}"
         used[name] = index
         if name != config.name:
-            config = dataclasses.replace(config, name=name)
-        resolved.append(dataclasses.replace(spec, config=config, name=name))
+            config = config.replace(name=name)
+        resolved.append(spec.replace(config=config, name=name))
     return resolved

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.stats import jain_index
@@ -31,6 +30,7 @@ from ..bench.bonnie import BenchmarkResult
 from ..cache import fingerprint
 from ..errors import ConfigError
 from ..units import throughput, to_mbps, to_us
+from ..value import Value
 from .build import Topology
 from .spec import ClientSpec, ServerSpec, SwitchSpec
 
@@ -47,22 +47,24 @@ __all__ = [
 ]
 
 
-@dataclass
 class FleetClientResult:
     """One client's run inside a fleet: absolute window + outcome.
 
-    ``result`` is whatever the client's workload body returned — a
-    :class:`BenchmarkResult` for the sequential writer, a
+    ``start_ns``/``end_ns`` are the simulated times this client's
+    workload actually began (after any staggered-start offset) and
+    finished.  ``result`` is whatever the client's workload body
+    returned — a :class:`BenchmarkResult` for the sequential writer, a
     :class:`~repro.bench.workloads.WorkloadOutcome` for everything
     else; the accessors below bridge the two shapes.
     """
 
-    name: str
-    #: Simulated time this client's workload actually began (after any
-    #: staggered-start offset) and finished.
-    start_ns: int
-    end_ns: int
-    result: Any
+    __slots__ = ("name", "start_ns", "end_ns", "result")
+
+    def __init__(self, name: str, start_ns: int, end_ns: int, result: Any):
+        self.name = name
+        self.start_ns = start_ns
+        self.end_ns = end_ns
+        self.result = result
 
     @property
     def bytes_written(self) -> int:
@@ -91,20 +93,30 @@ class FleetClientResult:
         return self.result.trace.percentile_ns(99)
 
 
-@dataclass
 class FleetResult:
-    """Per-client results plus fleet-level fairness accounting."""
+    """Per-client results plus fleet-level fairness accounting.
 
-    clients: List[FleetClientResult]
-    #: Simulator callbacks dispatched for the whole fleet run.
-    events_processed: int
-    #: Per-server accounting rows (name, bytes, shares, port queueing),
-    #: in server order.
-    servers: List[Dict[str, Any]] = field(default_factory=list)
-    #: Per-client reduced rows in client order, built by each client's
-    #: workload (``None`` for hand-assembled legacy results — the
-    #: reducer falls back to the sequential-write row shape).
-    rows: Optional[List[Dict[str, Any]]] = None
+    ``events_processed`` counts the simulator callbacks dispatched for
+    the whole fleet run; ``servers`` holds the per-server accounting
+    rows (name, bytes, shares, port queueing) in server order; ``rows``
+    the per-client reduced rows in client order, built by each client's
+    workload (``None`` for hand-assembled legacy results — the reducer
+    falls back to the sequential-write row shape).
+    """
+
+    __slots__ = ("clients", "events_processed", "servers", "rows")
+
+    def __init__(
+        self,
+        clients: List[FleetClientResult],
+        events_processed: int,
+        servers: Optional[List[Dict[str, Any]]] = None,
+        rows: Optional[List[Dict[str, Any]]] = None,
+    ):
+        self.clients = clients
+        self.events_processed = events_processed
+        self.servers = [] if servers is None else servers
+        self.rows = rows
 
     @property
     def total_bytes(self) -> int:
@@ -272,8 +284,7 @@ def server_rows(topo: Topology) -> List[Dict[str, Any]]:
 # -- sweep integration --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FleetJobSpec:
+class FleetJobSpec(Value):
     """One fleet sweep point, expressed entirely as picklable specs.
 
     ``workload`` (a ``(name, ((key, value), ...))`` pair) swaps the
@@ -331,7 +342,6 @@ class FleetJobSpec:
         return fingerprint(self, version=version)
 
 
-@dataclass
 class FleetPointResult:
     """The reduced outcome of one :class:`FleetJobSpec`.
 
@@ -341,11 +351,19 @@ class FleetPointResult:
     fleet aggregates and per-server fairness rows.
     """
 
-    clients: List[Dict[str, Any]]
-    servers: List[Dict[str, Any]]
-    events_processed: int
+    __slots__ = ("clients", "servers", "events_processed")
 
     PAYLOAD_KIND = "fleet"
+
+    def __init__(
+        self,
+        clients: List[Dict[str, Any]],
+        servers: List[Dict[str, Any]],
+        events_processed: int,
+    ):
+        self.clients = clients
+        self.servers = servers
+        self.events_processed = events_processed
 
     @property
     def count(self) -> int:

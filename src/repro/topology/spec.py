@@ -1,8 +1,8 @@
 """Declarative cluster specifications.
 
 A topology is described entirely by value objects — picklable frozen
-dataclasses that fingerprint cleanly through :func:`repro.cache.
-fingerprint` — and materialised by :class:`repro.topology.Topology`:
+:class:`~repro.value.Value` records that fingerprint cleanly through
+:func:`repro.cache.fingerprint` — and materialised by :class:`repro.topology.Topology`:
 
 * :class:`ClientSpec` — one client machine's stack (hardware, link,
   mount options, client variant),
@@ -19,7 +19,6 @@ a config is passed for a target that would have silently ignored it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from ..config import (
@@ -32,6 +31,7 @@ from ..config import (
     NfsClientConfig,
 )
 from ..errors import ConfigError
+from ..value import Value
 
 __all__ = ["ClientSpec", "ServerSpec", "SwitchSpec", "SERVER_KINDS"]
 
@@ -39,7 +39,7 @@ __all__ = ["ClientSpec", "ServerSpec", "SwitchSpec", "SERVER_KINDS"]
 #: ``TestBed`` targets).
 SERVER_KINDS = ("netapp", "linux", "linux-100", "local")
 
-#: Server kind -> the config dataclass it accepts.
+#: Server kind -> the config class it accepts.
 _KIND_CONFIG = {
     "netapp": FilerConfig,
     "linux": LinuxServerConfig,
@@ -55,8 +55,7 @@ _LEGACY_KWARGS = {
 }
 
 
-@dataclass(frozen=True)
-class SwitchSpec:
+class SwitchSpec(Value):
     """The shared switch every host plugs into."""
 
     name: str = "switch"
@@ -64,8 +63,7 @@ class SwitchSpec:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class ServerSpec:
+class ServerSpec(Value):
     """One target: a server machine, or client-local ext2.
 
     ``config`` must match ``kind`` (``FilerConfig`` for ``netapp``,
@@ -136,8 +134,7 @@ class ServerSpec:
         return ServerSpec(kind=target, config=chosen)
 
 
-@dataclass(frozen=True)
-class ClientSpec:
+class ClientSpec(Value):
     """One client machine: host + page cache + syscall layer + NFS client.
 
     ``client`` is a variant name (``"stock"``, ``"enhanced"``, ...) or

@@ -18,7 +18,6 @@ consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from ..bench.latency import LatencyTrace
@@ -33,14 +32,14 @@ from ..bench.workloads import (
 from ..errors import ConfigError
 from ..sim import AllOf, RngStreams
 from ..units import to_us
+from ..value import Value
 from .arrivals import arrival_times, draw_size
 from .spec import ArrivalSpec
 
 __all__ = ["Session", "plan_sessions", "OpenLoopWorkload"]
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(Value):
     """One planned open-loop session on one client."""
 
     index: int

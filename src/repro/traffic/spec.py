@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Tuple
 
 from ..errors import ConfigError
 from ..units import KIB, MIB, PAGE_SIZE, ms, seconds
+from ..value import Value
 
 __all__ = ["SizeSpec", "MixEntry", "ArrivalSpec", "parse_arrivals"]
 
@@ -28,8 +28,7 @@ _PROCESSES = ("poisson", "mmpp")
 _SIZE_DISTS = ("fixed", "lognormal", "pareto")
 
 
-@dataclass(frozen=True)
-class SizeSpec:
+class SizeSpec(Value):
     """How many bytes one session asks for.
 
     ``bytes`` is the exact size for ``fixed``, the *median* for
@@ -74,8 +73,7 @@ class SizeSpec:
         return cls(**_known(cls, data, "sizes"))
 
 
-@dataclass(frozen=True)
-class MixEntry:
+class MixEntry(Value):
     """One weighted entry of a per-client workload mix.
 
     ``params`` pins workload parameters for every session of this
@@ -113,8 +111,7 @@ class MixEntry:
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class ArrivalSpec:
+class ArrivalSpec(Value):
     """An open-loop session arrival process for one fleet.
 
     ``poisson``: homogeneous rate ``rate_per_s``, optionally modulated
@@ -133,7 +130,7 @@ class ArrivalSpec:
     process: str = "poisson"
     rate_per_s: float = 10.0
     duration_ns: int = seconds(1)
-    sizes: SizeSpec = field(default_factory=SizeSpec)
+    sizes: SizeSpec = SizeSpec()
     mix: Tuple[MixEntry, ...] = (MixEntry(),)
     diurnal: Tuple[float, ...] = ()
     burst_rate_per_s: float = 0.0
@@ -202,8 +199,7 @@ class ArrivalSpec:
 
 def _known(cls, data: Dict[str, Any], what: str) -> Dict[str, Any]:
     """Copy ``data``, rejecting keys the spec does not define."""
-    fields = {f.name for f in cls.__dataclass_fields__.values()}
-    unknown = sorted(set(data) - fields)
+    unknown = sorted(set(data) - set(cls.FIELDS))
     if unknown:
         raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
     return dict(data)
@@ -286,5 +282,5 @@ def parse_arrivals(text: str) -> ArrivalSpec:
         spec_kwargs["sizes"] = SizeSpec(**size_kwargs)
     spec = ArrivalSpec(**spec_kwargs)
     if workload is not None:
-        spec = replace(spec, mix=(MixEntry(workload=workload),))
+        spec = spec.replace(mix=(MixEntry(workload=workload),))
     return spec

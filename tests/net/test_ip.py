@@ -1,5 +1,7 @@
 """Unit and property tests for IP fragmentation."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,3 +50,33 @@ def test_fragments_conserve_payload(payload):
         assert carried == payload
         assert all(s <= net.mtu for s in sizes)
         assert len(sizes) == fragment_count(payload, net)
+
+
+@pytest.mark.parametrize("mtu", [576, 1500, 9000])
+def test_fragment_count_is_the_length_of_the_sizes_list(mtu):
+    net = NetConfig(mtu=mtu)
+    per_fragment = (mtu - net.header_bytes) // 8 * 8
+    # Every size either side of each fragment boundary, plus a sweep.
+    edges = {
+        k * per_fragment + d
+        for k in range(70_000 // per_fragment + 2)
+        for d in (-1, 0, 1)
+    }
+    payloads = set(range(0, 70_001, 7)) | {p for p in edges if 0 <= p <= 70_000}
+    for payload in sorted(payloads):
+        assert fragment_count(payload, net) == len(fragment_sizes(payload, net))
+
+
+def test_fragment_count_rejects_what_fragment_sizes_rejects():
+    with pytest.raises(ConfigError):
+        fragment_count(-1, GIGE)
+    # Four payload bytes per frame: not one 8-byte fragment unit.
+    tiny = NetConfig(mtu=50)
+    # An MTU below the headers cannot be a NetConfig; the bare fields can
+    # still reach the function.
+    below = SimpleNamespace(mtu=40, header_bytes=46)
+    for net in (tiny, below):
+        with pytest.raises(ConfigError):
+            fragment_count(100, net)
+        with pytest.raises(ConfigError):
+            fragment_sizes(100, net)

@@ -30,8 +30,10 @@ def test_fenwick_rank_and_membership():
     assert not fw.contains(6)
     fw.discard(7)
     assert fw.rank(8) == 1
-    with pytest.raises(SimulationError):
-        fw.discard(7)
+    for absent in (7, 6, 12, 100, -1, -2):
+        with pytest.raises(SimulationError):
+            fw.discard(absent)
+    assert fw.count == 2 and fw.rank(100) == 2
 
 
 def test_fenwick_grows_on_demand():
@@ -148,6 +150,21 @@ def test_remove_unknown_rejected():
     index = SortedListIndex(node_cost_ns=10)
     with pytest.raises(SimulationError):
         index.remove(make_req(3))
+
+
+def test_remove_unindexed_request_from_a_live_list_rejected():
+    index = SortedListIndex(node_cost_ns=10)
+    indexed = make_req(3)
+    index.insert(indexed)
+    # A page the inode's list does not hold, and a second request for a
+    # held page: neither is indexed, and neither disturbs the list.
+    for stranger in (make_req(4), make_req(3)):
+        with pytest.raises(SimulationError):
+            index.remove(stranger)
+    assert len(index) == 1
+    assert index.find(1, 3) == (indexed, 10)
+    assert index.remove(indexed) == 10
+    assert len(index) == 0
 
 
 def test_peek_is_pythonic_lookup():

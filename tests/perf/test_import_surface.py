@@ -51,6 +51,15 @@ def test_build_imports_load_only_the_model():
     assert [name for name in NOT_MODEL if name in loaded] == []
 
 
+def test_build_imports_compile_no_dataclasses():
+    # ``dataclasses`` execs generated methods for every class it
+    # decorates, and importing it loads ``inspect`` (with ``ast``,
+    # ``dis`` and ``tokenize``): about 60% of building a workload.  The
+    # model's specs derive from ``repro.value.Value`` instead.
+    loaded = _run(BUILD_IMPORTS + "import json, sys; print(json.dumps(sorted(sys.modules)))")
+    assert [name for name in ("dataclasses", "inspect") if name in loaded] == []
+
+
 def test_import_sim_loads_only_the_event_kernel():
     loaded = _run(
         "import sys; before = set(sys.modules); import repro.sim, json; "
