@@ -28,9 +28,11 @@ for them before its first event.
 
     python3 scripts/check_bench_counts.py imports < bench-ci.json
 
-Module counts depend on the Python version (and on what a host's
-``site`` imports before the count starts), so the committed row holds
-the larger of the Python 3.11 and 3.12 counts.
+The lane counts in an interpreter started with ``-S``, so ``site`` has
+preloaded nothing a host's ``.pth`` files name: a new model import of
+such a module shows on every host.  Module counts can still differ
+between Python versions, so the committed row holds the larger of the
+Python 3.11 and 3.12 counts.
 """
 
 from __future__ import annotations

@@ -23,11 +23,12 @@ import functools
 import hashlib
 import json
 import os
-import tempfile
-from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..value import Value
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 __all__ = [
     "ResultCache",
@@ -58,6 +59,10 @@ def code_version_token() -> str:
     Computed once per process; any edit to the simulator (or anything it
     imports from the package) changes the token and thereby every key.
     """
+    # ``pathlib`` is imported by its users only: the model imports this
+    # module for :func:`fingerprint` alone.
+    from pathlib import Path
+
     import repro
 
     package_root = Path(repro.__file__).resolve().parent
@@ -120,6 +125,8 @@ class ResultCache:
     """On-disk JSON store addressed by :func:`fingerprint` keys."""
 
     def __init__(self, directory: Optional[str] = None):
+        from pathlib import Path
+
         self.directory = Path(directory or default_cache_dir())
         self.hits = 0
         self.misses = 0
@@ -147,6 +154,8 @@ class ResultCache:
         """Atomically store ``payload`` under ``key``."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
+        import tempfile
+
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:

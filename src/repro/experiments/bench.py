@@ -17,7 +17,9 @@ Five lanes, each measuring a layer the sweeps actually stress:
   a small sweep re-run.
 * **imports** — what a fresh process pays before its first event: the
   seconds the benchmark's build imports take, and how many modules
-  (``repro`` and all) they load.
+  (``repro`` and all) they load in an interpreter started without
+  ``site``, so the count does not depend on what a host's ``.pth``
+  files preload.
 
 Simulated results are deterministic; the wall-clock fields are the only
 machine-dependent numbers and are recorded alongside ``nproc``.
@@ -188,7 +190,12 @@ def _bench_cache() -> Dict[str, Any]:
 
 def _bench_imports() -> Dict[str, Any]:
     """Time ``BUILD_IMPORTS`` in a fresh interpreter and count the
-    modules they load."""
+    modules they load.
+
+    The interpreter runs with ``-S``: ``site`` imports whatever the
+    host's ``.pth`` files name before the count starts, which would hide
+    a model import of any module they load.
+    """
     code = (
         "import sys, time\n"
         "before = set(sys.modules)\n"
@@ -202,7 +209,7 @@ def _bench_imports() -> Dict[str, Any]:
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2]))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         env=env,
         capture_output=True,
         text=True,

@@ -32,7 +32,7 @@ import sys
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..sim.trace import Tracer
+from ..sim.trace import SAMPLE, SPAN, SPAN_BEGIN, SPAN_END, SPAN_END_ATTRS, Tracer
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .timeseries import (
     DEFAULT_WINDOW_NS,
@@ -52,14 +52,13 @@ __all__ = [
     "attach_if_active",
 ]
 
-#: Default span/sample ring capacity per observed bed.
+#: Default trace capacity, in entries, per observed bed.
 DEFAULT_CAPACITY = 1_000_000
 
-#: Field names of the leading values in each trace-ring entry shape
-#: (see :mod:`repro.sim.trace`); span attribute names follow them.
+#: Field names of the leading values of a span entry (see
+#: :mod:`repro.sim.trace`); span attribute names follow them.
 _BEGIN = ("span", "parent", "name")
 _END = ("span",)
-_SAMPLE = ("name", "value")
 #: Attributes of a link frame's span, after the observer's own.
 _FRAME = ("bytes", "link")
 
@@ -68,7 +67,7 @@ class Observability:
     """Metrics + causal span tracing for one simulation.
 
     :meth:`scoped` returns a client view that shares this observer's
-    registries, trace ring, span numbering and per-task spans, so span
+    registries, tracer, span numbering and per-task spans, so span
     ids stay globally unique and causal edges across clients resolve in
     one tree; the view prefixes metric keys and sample names with
     ``<client>/`` and tags its spans with a ``client`` attribute.
@@ -221,16 +220,13 @@ class Observability:
 
     def sample(self, component: str, name: str, value) -> None:
         if self.enabled:
-            self.tracer.ring.append(
-                (
-                    self.sim.now,
-                    component,
-                    "sample",
-                    _SAMPLE,
-                    sys.intern(self._prefix + name),
-                    value,
-                )
-            )
+            tracer = self.tracer
+            tracer.ints.append(self.sim.now)
+            tracer.objs.extend((component, sys.intern(self._prefix + name), value))
+            codes = tracer.codes
+            codes.append(SAMPLE)
+            if len(codes) > tracer.limit:
+                tracer.trim()
 
     # -- spans ---------------------------------------------------------------
 
@@ -250,34 +246,30 @@ class Observability:
         names = self._begin_names.get(keys)
         if names is None:
             names = self._begin_names[keys] = _BEGIN + self._span_names + keys
-        self.tracer.ring.append(
-            (
-                self.sim.now if ts is None else ts,
-                component,
-                "span_begin",
-                names,
-                sid,
-                parent,
-                name,
-                *self._span_values,
-                *attrs.values(),
-            )
+        tracer = self.tracer
+        tracer.ints.fromlist([self.sim.now if ts is None else ts, sid, parent])
+        tracer.objs.extend(
+            (names, component, name, *self._span_values, *attrs.values())
         )
+        codes = tracer.codes
+        codes.append(SPAN_BEGIN)
+        if len(codes) > tracer.limit:
+            tracer.trim()
         return sid
 
     def span_end(self, span_id: int, ts: Optional[int] = None, **attrs: Any) -> None:
         if self.enabled and span_id:
-            self.tracer.ring.append(
-                (
-                    self.sim.now if ts is None else ts,
-                    "",
-                    "span_end",
-                    # Closing attributes are rare (an error code).
-                    _END + tuple(attrs) if attrs else _END,
-                    span_id,
-                    *attrs.values(),
-                )
-            )
+            tracer = self.tracer
+            tracer.ints.fromlist([self.sim.now if ts is None else ts, span_id])
+            codes = tracer.codes
+            if attrs:
+                # Closing attributes are rare (an error code).
+                tracer.objs.extend((_END + tuple(attrs), *attrs.values()))
+                codes.append(SPAN_END_ATTRS)
+            else:
+                codes.append(SPAN_END)
+            if len(codes) > tracer.limit:
+                tracer.trim()
 
     def span_point(
         self, component: str, name: str, parent: int = 0, **attrs: Any
@@ -303,7 +295,7 @@ class Observability:
         Adds to ``net/frames_sent`` and ``net/bytes_sent``, samples the
         ``queued`` delay into the link's ``queue_key`` gauge, and stores
         the frame's span (serialisation ``start`` to arrival ``end``,
-        under the RPC span ``parent``) as one complete-span ring entry.
+        under the RPC span ``parent``) as one complete-span trace entry.
         A dropped frame is recorded with ``name="frame_dropped"``.
         """
         if not self.enabled:
@@ -327,21 +319,13 @@ class Observability:
                 self._prefix + queue_key
             )
         series.record_windowed_gauge(self.sim.now, queued)
-        self.tracer.ring.append(
-            (
-                start,
-                "net",
-                "span",
-                self._frame_names,
-                end,
-                next(self._span_ids),
-                parent,
-                name,
-                *self._span_values,
-                wire_bytes,
-                link,
-            )
-        )
+        tracer = self.tracer
+        tracer.ints.fromlist([start, end, next(self._span_ids), parent, wire_bytes])
+        tracer.objs.extend((self._frame_names, name, *self._span_values, link))
+        codes = tracer.codes
+        codes.append(SPAN)
+        if len(codes) > tracer.limit:
+            tracer.trim()
 
     # -- per-task syscall context --------------------------------------------
     #

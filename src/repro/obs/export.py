@@ -36,7 +36,7 @@ __all__ = [
 
 
 class Span:
-    """One reconstructed span from the trace ring."""
+    """One reconstructed span from the trace."""
 
     __slots__ = ("sid", "parent", "component", "name", "start", "end", "attrs")
 

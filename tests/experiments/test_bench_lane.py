@@ -9,6 +9,7 @@ carries every field the perf trajectory compares across PRs.
 import io
 import json
 
+from repro.experiments import bench
 from repro.experiments.bench import bench_payload, run_bench
 
 
@@ -56,3 +57,16 @@ def test_run_bench_writes_json_row(tmp_path):
     assert "repro modules" in text
     row = json.loads(path.read_text())
     assert set(row) >= {"sim_core", "headline", "fleet", "cache", "imports", "nproc"}
+
+
+def test_imports_lane_counts_without_site(monkeypatch):
+    # ``site`` preloads what a host's ``.pth`` files import, so a count
+    # taken after it depends on the host; the lane's interpreter skips it.
+    monkeypatch.setattr(
+        bench,
+        "BUILD_IMPORTS",
+        "import sys\nif not sys.flags.no_site:\n    raise SystemExit('site ran')\n"
+        + bench.BUILD_IMPORTS,
+    )
+    imports = bench._bench_imports()
+    assert 0 < imports["repro_modules"] < imports["modules"]

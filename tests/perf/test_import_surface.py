@@ -32,11 +32,12 @@ NOT_MODEL = (
 )
 
 
-def _run(code: str):
-    """Run ``code`` in a fresh interpreter; return what it prints as JSON."""
+def _run(code: str, *flags: str):
+    """Run ``code`` in a fresh interpreter started with ``flags``;
+    return what it prints as JSON."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env=env,
         capture_output=True,
         text=True,
@@ -58,6 +59,19 @@ def test_build_imports_compile_no_dataclasses():
     # model's specs derive from ``repro.value.Value`` instead.
     loaded = _run(BUILD_IMPORTS + "import json, sys; print(json.dumps(sorted(sys.modules)))")
     assert [name for name in ("dataclasses", "inspect") if name in loaded] == []
+
+
+def test_build_imports_skip_the_result_cache_file_store():
+    # The model imports ``repro.cache`` for ``fingerprint`` alone; only
+    # ``ResultCache`` and ``code_version_token`` need these.  ``-S``
+    # keeps a host's ``site`` from having imported them already.
+    code = "import sys\nbefore = set(sys.modules)\n" + BUILD_IMPORTS
+    loaded = _run(
+        code + "import json; print(json.dumps(sorted(set(sys.modules) - before)))",
+        "-S",
+    )
+    assert "repro.cache" in loaded
+    assert [name for name in ("tempfile", "pathlib") if name in loaded] == []
 
 
 def test_import_sim_loads_only_the_event_kernel():
