@@ -10,13 +10,25 @@ writers are added.
 """
 
 from repro.bench import TestBed
-from repro.bench.workloads import sequential_writers
+from repro.bench.workloads import run_workload
 from repro.config import NfsClientConfig
-from repro.units import MB
+from repro.units import MB, throughput
 
 BYTES_EACH = 4 * MB
+CHUNK_BYTES = 8192
 HASH = NfsClientConfig(eager_flush_limits=False, hashtable_index=True)
 NOLOCK = HASH.replace(release_bkl_for_send=True)
+
+
+def writer(bed, index):
+    """Stream ``BYTES_EACH`` into a fresh file and leave it open: the
+    memory-write phase only, not the drain."""
+    file = yield from bed.open_file(f"writer{index}")
+    remaining = BYTES_EACH
+    while remaining:
+        chunk = min(CHUNK_BYTES, remaining)
+        yield from bed.syscalls.write(file, chunk)
+        remaining -= chunk
 
 
 def run_scaling():
@@ -24,9 +36,11 @@ def run_scaling():
     for label, cfg in (("bkl", HASH), ("nolock", NOLOCK)):
         for nwriters in (1, 2, 4):
             bed = TestBed(target="netapp", client=cfg)
-            # close=False: measure the memory-write phase, not the drain.
-            result = sequential_writers(bed, nwriters, BYTES_EACH, close=False)
-            out[(label, nwriters)] = result.total_mbps
+            run_workload(
+                bed, [(f"writer{i}", writer(bed, i)) for i in range(nwriters)]
+            )
+            total = throughput(nwriters * BYTES_EACH, bed.sim.now)
+            out[(label, nwriters)] = total / 1e6
     return out
 
 

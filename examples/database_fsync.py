@@ -20,8 +20,6 @@ Run:  python examples/database_fsync.py
 """
 
 from repro import TestBed
-from repro.bench import get_workload
-from repro.bench.workloads import client_workload_body, run_workload
 from repro.units import to_us
 
 TRANSACTIONS = 400
@@ -30,14 +28,10 @@ RECORD_BYTES = 4096
 
 def run_transaction_log(target: str):
     bed = TestBed(target=target, client="enhanced")
-    workload = get_workload(
+    outcome = bed.topology.run_workload(
         "database-fsync",
         {"transactions": TRANSACTIONS, "record_bytes": RECORD_BYTES},
     )
-    tasks = run_workload(
-        bed, [("txlog", client_workload_body(bed, workload))]
-    )
-    _start, _end, outcome = tasks[0].result
     return bed, outcome
 
 

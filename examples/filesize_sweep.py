@@ -13,8 +13,8 @@ Run:  python examples/filesize_sweep.py [scale]   (default memory scale 8)
 import sys
 
 from repro import TestBed
-from repro.config import FilerConfig
 from repro.experiments import scaled_configs
+from repro.topology import ServerSpec
 from repro.units import MB
 
 
@@ -23,7 +23,9 @@ def sweep(client, sizes_mb, hw, filer_cfg):
     for target in ("local", "netapp", "linux"):
         row = []
         for size in sizes_mb:
-            bed = TestBed(target=target, client=client, hw=hw, filer_config=filer_cfg)
+            # The scaled filer config only applies to the netapp target.
+            server = ServerSpec(target, filer_cfg if target == "netapp" else None)
+            bed = TestBed(client=client, hw=hw, server=server)
             row.append(bed.run_sequential_write(size * MB).write_mbps)
         curves[target] = row
     return curves

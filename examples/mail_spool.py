@@ -16,8 +16,6 @@ Run:  python examples/mail_spool.py
 """
 
 from repro import TestBed
-from repro.bench import get_workload
-from repro.bench.workloads import client_workload_body, run_workload
 
 MESSAGES = 150
 CONCURRENCY = 4  # delivery agents
@@ -25,14 +23,11 @@ CONCURRENCY = 4  # delivery agents
 
 def deliver_batch(target: str):
     bed = TestBed(target=target, client="enhanced")
-    workload = get_workload(
+    outcome = bed.topology.run_workload(
         "mail-spool", {"messages": MESSAGES, "concurrency": CONCURRENCY}
     )
-    tasks = run_workload(
-        bed, [("spool", client_workload_body(bed, workload))]
-    )
-    start, end, outcome = tasks[0].result
-    elapsed_s = (end - start) / 1e9
+    # The delivery agents start at time 0; the run stops as they finish.
+    elapsed_s = bed.sim.now / 1e9
     return outcome.ops / elapsed_s, outcome.bytes_written / elapsed_s / 1e6
 
 

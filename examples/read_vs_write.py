@@ -16,8 +16,6 @@ Run:  python examples/read_vs_write.py
 """
 
 from repro import TestBed
-from repro.bench import get_workload
-from repro.bench.workloads import client_workload_body, run_workload
 from repro.config import NfsClientConfig
 from repro.units import MB
 
@@ -28,11 +26,9 @@ LAZY = NfsClientConfig(eager_flush_limits=False, hashtable_index=True,
 
 def measure(target: str):
     bed = TestBed(target=target, client=LAZY)
-    workload = get_workload("read-vs-write", {"file_bytes": FILE_MB * MB})
-    tasks = run_workload(
-        bed, [("read-vs-write", client_workload_body(bed, workload))]
+    outcome = bed.topology.run_workload(
+        "read-vs-write", {"file_bytes": FILE_MB * MB}
     )
-    _start, _end, outcome = tasks[0].result
     return outcome.extra
 
 

@@ -76,8 +76,6 @@ _EXPORTS = {
     "experiment_ids": ".experiments",
     "get_experiment": ".experiments",
     "ExecutionContext": ".experiments",
-    "JobSpec": ".parallel",
-    "PointResult": ".parallel",
     "SweepExecutor": ".parallel",
     "ResultCache": ".cache",
 }

@@ -8,11 +8,10 @@ from .histogram import (
     latency_histogram,
 )
 from .latency import LatencyTrace
-from .runner import SERVER_KINDS, TestBed
+from .runner import TestBed
 from .workloads import (
     Workload,
     WorkloadOutcome,
-    WorkloadResult,
     get_workload,
     register_workload,
     workload_names,
@@ -27,10 +26,8 @@ __all__ = [
     "PAPER_BIN_WIDTH_NS",
     "PAPER_MAX_NS",
     "TestBed",
-    "SERVER_KINDS",
     "Workload",
     "WorkloadOutcome",
-    "WorkloadResult",
     "register_workload",
     "get_workload",
     "workload_names",

@@ -11,32 +11,19 @@ targets are unchanged:
 * ``"linux-100"`` — the same knfsd behind 100 Mbps Ethernet (§3.5),
 * ``"local"`` — client-local ext2 (no server at all).
 
-The per-kind ``filer_config``/``linux_config``/``local_config`` kwargs
-are deprecated in favour of ``server=ServerSpec(kind, config)``; a
-config passed for a target that would have silently ignored it is now a
-:class:`~repro.errors.ConfigError` naming the replacement.
+A non-default server config is passed as
+``server=ServerSpec(kind, config)``.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Union
 
-from ..config import (
-    ClientHwConfig,
-    FilerConfig,
-    LinuxServerConfig,
-    LocalFsConfig,
-    MountConfig,
-    NetConfig,
-    NfsClientConfig,
-)
+from ..config import ClientHwConfig, MountConfig, NetConfig, NfsClientConfig
 from ..errors import ConfigError
 from .bonnie import BenchmarkResult
 
-__all__ = ["TestBed", "SERVER_KINDS"]
-
-SERVER_KINDS = ("netapp", "linux", "linux-100", "local")
+__all__ = ["TestBed"]
 
 
 class TestBed:
@@ -52,9 +39,6 @@ class TestBed:
         hw: Optional[ClientHwConfig] = None,
         net: Optional[NetConfig] = None,
         mount: Optional[MountConfig] = None,
-        filer_config: Optional[FilerConfig] = None,
-        linux_config: Optional[LinuxServerConfig] = None,
-        local_config: Optional[LocalFsConfig] = None,
         profile: bool = False,
         observe: bool = False,
         server=None,
@@ -64,40 +48,21 @@ class TestBed:
         # the benchmark classes in this package).
         from ..topology import ClientSpec, ServerSpec, Topology
 
-        legacy = (filer_config, linux_config, local_config)
-        if server is not None:
-            if any(cfg is not None for cfg in legacy):
-                raise ConfigError(
-                    "pass either server=ServerSpec(...) or the deprecated "
-                    "per-kind config kwargs, not both"
-                )
-            if not isinstance(server, ServerSpec):
-                raise ConfigError(
-                    f"server must be a ServerSpec, got {type(server).__name__}"
-                )
-            if target is not None and target != server.kind:
-                raise ConfigError(
-                    f"target {target!r} contradicts server kind {server.kind!r}"
-                )
-        else:
-            if any(cfg is not None for cfg in legacy):
-                warnings.warn(
-                    "filer_config/linux_config/local_config are deprecated; "
-                    "pass server=ServerSpec(kind, config) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            server = ServerSpec.from_legacy(
-                target if target is not None else "netapp",
-                filer_config=filer_config,
-                linux_config=linux_config,
-                local_config=local_config,
-            )
-            # Historical behaviour: the server's switch port shared the
+        if server is None:
+            server = ServerSpec(target or "netapp")
+            # Historical behaviour: the server's switch port shares the
             # client's NetConfig (including injected loss), except for
             # linux-100's fixed fast Ethernet.
             if net is not None and server.kind in ("netapp", "linux"):
                 server = server.replace(net=net)
+        elif not isinstance(server, ServerSpec):
+            raise ConfigError(
+                f"server must be a ServerSpec, got {type(server).__name__}"
+            )
+        elif target is not None and target != server.kind:
+            raise ConfigError(
+                f"target {target!r} contradicts server kind {server.kind!r}"
+            )
 
         spec = ClientSpec(
             client=client, hw=hw, net=net, mount=mount, name="client"

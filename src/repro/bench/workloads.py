@@ -13,9 +13,10 @@ Closed-loop benchmarks (:class:`~repro.topology.fleet.FleetWorkload`),
 the promoted example workloads (``examples/*.py`` are thin wrappers
 now), and the open-loop traffic sessions of :mod:`repro.traffic` all
 implement the same protocol, replacing the four parallel entry points
-that predated it (free functions here, ``FleetWorkload``'s hardwired
+that predated it (free-function drivers, ``FleetWorkload``'s hardwired
 writer, a ``Topology`` sequential-write method, and copy-pasted example
-bodies).
+bodies).  :func:`run_workload` remains for ad-hoc generators that are
+not registered workloads.
 
 A workload body is a generator that returns ``(start_ns, end_ns,
 result)``.  ``Workload.row`` reduces one finished body to the JSON-able
@@ -43,7 +44,6 @@ from .runner import TestBed
 __all__ = [
     "Workload",
     "WorkloadOutcome",
-    "WorkloadResult",
     "register_workload",
     "get_workload",
     "workload_names",
@@ -53,11 +53,6 @@ __all__ = [
     "trace_sha",
     "workload_row",
     "run_workload",
-    "sequential_writers",
-    "transaction_log",
-    "random_writer",
-    "sweep_file_sizes",
-    "parallel_size_sweep",
 ]
 
 
@@ -77,7 +72,7 @@ def _obs(stack):
 
 def trace_sha(latencies_ns) -> str:
     """Checksum of a latency series — the per-client fingerprint leaf."""
-    blob = ",".join(str(v) for v in latencies_ns)
+    blob = ",".join(map(str, latencies_ns))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -539,31 +534,7 @@ class RandomWriteWorkload(Workload):
         return (start, sim.now, outcome)
 
 
-# -- legacy free-function drivers ---------------------------------------------
-
-
-class WorkloadResult:
-    """Aggregate outcome of a multi-task workload."""
-
-    __slots__ = ("bytes_written", "elapsed_ns", "traces")
-
-    def __init__(
-        self,
-        bytes_written: int,
-        elapsed_ns: int,
-        traces: Optional[List[LatencyTrace]] = None,
-    ):
-        self.bytes_written = bytes_written
-        self.elapsed_ns = elapsed_ns
-        self.traces = [] if traces is None else traces
-
-    @property
-    def total_throughput(self) -> float:
-        return throughput(self.bytes_written, self.elapsed_ns)
-
-    @property
-    def total_mbps(self) -> float:
-        return self.total_throughput / 1e6
+# -- ad-hoc generators ---------------------------------------------------------
 
 
 def run_workload(bed: TestBed, tasks, time_limit_ns: Optional[int] = None):
@@ -580,132 +551,3 @@ def run_workload(bed: TestBed, tasks, time_limit_ns: Optional[int] = None):
         if task.error is not None:
             raise task.error
     return spawned
-
-
-def sequential_writers(bed: TestBed, nwriters: int, bytes_each: int,
-                       chunk_bytes: int = 8192,
-                       close: bool = True) -> WorkloadResult:
-    """N processes each streaming into its own fresh file.
-
-    The §3.5 concern writ large: every writer contends with rpciod and
-    the flush daemon for the kernel lock.  With ``close=False`` the
-    workload measures the memory-write phase only (dirty data is left
-    cached), isolating client-side scalability from wire drain time.
-    """
-    if nwriters < 1:
-        raise ConfigError("need at least one writer")
-    traces = [LatencyTrace() for _ in range(nwriters)]
-    start = bed.sim.now
-
-    def writer(index: int):
-        file = yield from bed.open_file(f"writer{index}")
-        remaining = bytes_each
-        while remaining:
-            chunk = min(chunk_bytes, remaining)
-            call_start = bed.sim.now
-            yield from bed.syscalls.write(file, chunk)
-            traces[index].record(call_start, bed.sim.now)
-            remaining -= chunk
-        if close:
-            yield from bed.syscalls.close(file)
-
-    run_workload(bed, [(f"writer{i}", writer(i)) for i in range(nwriters)])
-    return WorkloadResult(
-        bytes_written=nwriters * bytes_each,
-        elapsed_ns=bed.sim.now - start,
-        traces=traces,
-    )
-
-
-def transaction_log(bed: TestBed, transactions: int,
-                    record_bytes: int = PAGE_SIZE) -> WorkloadResult:
-    """Append + fsync per transaction (commit-latency bound).
-
-    A thin wrapper over the registered ``database-fsync`` workload.
-    """
-    workload = get_workload(
-        "database-fsync",
-        {"transactions": transactions, "record_bytes": record_bytes},
-    )
-    start = bed.sim.now
-    tasks = run_workload(bed, [("txlog", client_workload_body(bed, workload))])
-    _start, _end, outcome = tasks[0].result
-    return WorkloadResult(
-        bytes_written=outcome.bytes_written,
-        elapsed_ns=bed.sim.now - start,
-        traces=[outcome.trace],
-    )
-
-
-def random_writer(bed: TestBed, file_bytes: int, writes: int,
-                  chunk_bytes: int = 8192, seed: int = 1) -> WorkloadResult:
-    """Page-aligned random-offset writes within a fixed extent.
-
-    A thin wrapper over the registered ``random-write`` workload.
-    """
-    workload = get_workload(
-        "random-write",
-        {
-            "file_bytes": file_bytes,
-            "writes": writes,
-            "chunk_bytes": chunk_bytes,
-            "seed": seed,
-        },
-    )
-    start = bed.sim.now
-    tasks = run_workload(bed, [("random", client_workload_body(bed, workload))])
-    _start, _end, outcome = tasks[0].result
-    return WorkloadResult(
-        bytes_written=outcome.bytes_written,
-        elapsed_ns=bed.sim.now - start,
-        traces=[outcome.trace],
-    )
-
-
-def sweep_file_sizes(make_bed, sizes_bytes, chunk_bytes: int = 8192):
-    """Fresh test bed per size; returns [(size, BenchmarkResult)].
-
-    ``make_bed`` is a zero-argument factory (each run needs a pristine
-    simulated world).  Factories are arbitrary closures, so this sweep
-    is inherently serial; when the points can be described as plain
-    configuration, use :func:`parallel_size_sweep` instead.
-    """
-    out = []
-    for size in sizes_bytes:
-        bed = make_bed()
-        out.append((size, bed.run_sequential_write(size, chunk_bytes=chunk_bytes)))
-    return out
-
-
-def parallel_size_sweep(
-    target: str,
-    client,
-    sizes_bytes,
-    chunk_bytes: int = 8192,
-    jobs: int = 1,
-    cache=None,
-    **bed_kwargs,
-):
-    """Config-described size sweep; returns [(size, PointResult)].
-
-    The picklable cousin of :func:`sweep_file_sizes`: each point becomes
-    a :class:`~repro.parallel.JobSpec` (``bed_kwargs`` may carry ``hw``,
-    ``mount``, ``filer_config``...) and runs through a
-    :class:`~repro.parallel.SweepExecutor`, fanning out over ``jobs``
-    worker processes and reusing ``cache`` hits.  Results are identical
-    to the serial sweep — every point is its own deterministic world.
-    """
-    from ..parallel import JobSpec, SweepExecutor
-
-    specs = [
-        JobSpec(
-            target=target,
-            client=client,
-            file_bytes=size,
-            chunk_bytes=chunk_bytes,
-            **bed_kwargs,
-        )
-        for size in sizes_bytes
-    ]
-    results = SweepExecutor(jobs=jobs, cache=cache).map(specs)
-    return list(zip(sizes_bytes, results))

@@ -5,8 +5,7 @@ results can be memoised across processes and sessions.  A cache key is
 the SHA-256 of
 
 * the **canonical JSON** of the point's configuration (every field of
-  every :class:`~repro.value.Value` and dataclass, recursively, with
-  sorted keys), and
+  every :class:`~repro.value.Value`, recursively, with sorted keys), and
 * a **code version token** — a hash over the source text of the whole
   ``repro`` package, so any code change invalidates every entry rather
   than serving stale numbers.
@@ -78,23 +77,14 @@ def code_version_token() -> str:
 def _jsonable(value: Any) -> Any:
     """Reduce configs to canonically serialisable structures.
 
-    A :class:`~repro.value.Value` and a dataclass instance both become
-    their class name under ``"__dataclass__"`` plus their fields, so a
-    spec's key does not depend on which of the two defines it.
+    A :class:`~repro.value.Value` becomes its class name under
+    ``"__dataclass__"`` plus its fields: the key the specs had when
+    they were dataclasses, so pinned fingerprints still hold.
     """
-    names = None
     if isinstance(value, Value):
-        names = value.FIELDS
-    elif hasattr(type(value), "__dataclass_fields__"):
-        # Only tooling specs (``JobSpec``) are dataclasses, and their
-        # modules have imported ``dataclasses`` already.
-        import dataclasses
-
-        names = [f.name for f in dataclasses.fields(value)]
-    if names is not None:
         return {
             "__dataclass__": type(value).__name__,
-            **{name: _jsonable(getattr(value, name)) for name in names},
+            **{name: _jsonable(getattr(value, name)) for name in value.FIELDS},
         }
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -104,7 +94,7 @@ def _jsonable(value: Any) -> Any:
         return value
     raise TypeError(
         f"cannot fingerprint {type(value).__name__!r}; "
-        "job specs must be built from Value records, dataclasses and plain values"
+        "job specs must be built from Value records and plain values"
     )
 
 

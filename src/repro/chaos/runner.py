@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..bench.runner import TestBed
+from ..bench.workloads import trace_sha
 from ..config import MountConfig, NetConfig
 from ..errors import ConfigError, EioError, ReproError
 from ..faults.client import SlotStarvation
@@ -73,13 +74,6 @@ def _fingerprint(payload: Dict[str, object]) -> str:
     ).hexdigest()
 
 
-def _trace_checksum(result) -> str:
-    """Hash of the full write()-latency series: any divergence anywhere
-    in the run — not just in the totals — breaks the fingerprint."""
-    raw = ",".join(str(v) for v in result.trace.latencies_ns).encode()
-    return hashlib.sha256(raw).hexdigest()
-
-
 def _server_file(bed: TestBed):
     return next(iter(bed.server.files.values()), None)
 
@@ -92,7 +86,7 @@ def _common_payload(bed: TestBed, result) -> Dict[str, object]:
         "write_elapsed_ns": result.write_elapsed_ns,
         "flush_elapsed_ns": result.flush_elapsed_ns,
         "close_elapsed_ns": result.close_elapsed_ns,
-        "trace_checksum": _trace_checksum(result),
+        "trace_checksum": trace_sha(result.trace.latencies_ns),
         "retransmits": xs.retransmits,
         "major_timeouts": xs.major_timeouts,
         "duplicate_replies": xs.duplicate_replies,
@@ -482,7 +476,7 @@ def _execute_sweep(spec: ScenarioSpec, seed: int):
         elapsed.append(result.flush_elapsed_ns)
         payload[f"flush_elapsed_ns@{rate}"] = result.flush_elapsed_ns
         payload[f"retransmits@{rate}"] = bed.nfs.xprt.stats.retransmits
-        payload[f"trace_checksum@{rate}"] = _trace_checksum(result)
+        payload[f"trace_checksum@{rate}"] = trace_sha(result.trace.latencies_ns)
     return payload, CheckContext(spec, payload, sweep_elapsed=elapsed)
 
 

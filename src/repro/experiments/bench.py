@@ -161,12 +161,13 @@ def _bench_fleet(clients: int, file_kib: int) -> Dict[str, Any]:
 
 
 def _bench_cache() -> Dict[str, Any]:
-    from ..parallel.executor import JobSpec, SweepExecutor
     from ..cache import ResultCache
+    from ..parallel.executor import SweepExecutor
+    from ..topology import FleetJobSpec
     from ..units import KIB
 
     specs = [
-        JobSpec(target="netapp", client="stock", file_bytes=n * 256 * KIB)
+        FleetJobSpec.homogeneous(1, target="netapp", file_bytes=n * 256 * KIB)
         for n in (1, 2, 3, 4)
     ]
     with tempfile.TemporaryDirectory() as tmp:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..analysis import Comparison, mean, stddev
-from ..parallel import JobSpec
+from ..topology import ClientSpec, FleetJobSpec, ServerSpec
 from ..units import MB
 from .base import ExecutionContext, Experiment, format_table, scaled_configs
 
@@ -31,19 +31,16 @@ def sweep_sizes(scale: float, quick: bool):
 
 
 def sweep_specs(client_variant: str, scale: float, quick: bool):
-    """The (target x size) JobSpec grid of one Fig. 1/7-style sweep."""
+    """The (target x size) grid of one Fig. 1/7-style sweep: one-client
+    fleet points."""
     hw, filer = scaled_configs(scale)
     sizes_mb = sweep_sizes(scale, quick)
     specs = [
-        JobSpec(
-            target=target,
-            client=client_variant,
+        FleetJobSpec(
+            clients=(ClientSpec(client=client_variant, hw=hw),),
+            # The scaled filer config only applies to the netapp target.
+            servers=(ServerSpec(target, filer if target == "netapp" else None),),
             file_bytes=size_mb * MB,
-            hw=hw,
-            # The scaled filer config only applies to the netapp target;
-            # passing it elsewhere is now a ConfigError instead of a
-            # silent no-op.
-            filer_config=filer if target == "netapp" else None,
         )
         for target in SWEEP_TARGETS
         for size_mb in sizes_mb
@@ -68,7 +65,7 @@ def run_sweep(
     for t, target in enumerate(SWEEP_TARGETS):
         offset = t * len(sizes_mb)
         curves[target] = [
-            r.write_mbps for r in results[offset : offset + len(sizes_mb)]
+            r.client_mbps()[0] for r in results[offset : offset + len(sizes_mb)]
         ]
     return curves
 

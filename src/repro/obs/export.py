@@ -55,9 +55,11 @@ class Span:
         return (self.end if self.end is not None else self.start) - self.start
 
 
-def build_spans(tracer) -> Dict[int, Span]:
-    """Pair span_begin/span_end records into :class:`Span` objects."""
+def _spans_and_samples(tracer) -> Tuple[Dict[int, Span], List[Any]]:
+    """One decode of the trace: span_begin/span_end records paired into
+    :class:`Span` objects, and the sample records in trace order."""
     spans: Dict[int, Span] = {}
+    samples: List[Any] = []
     for rec in tracer.records():
         if rec.kind == "span_begin":
             fields = dict(rec.fields)
@@ -72,7 +74,14 @@ def build_spans(tracer) -> Dict[int, Span]:
                 for key, value in rec.fields.items():
                     if key != "span":
                         span.attrs[key] = value
-    return spans
+        elif rec.kind == "sample":
+            samples.append(rec)
+    return spans, samples
+
+
+def build_spans(tracer) -> Dict[int, Span]:
+    """Pair span_begin/span_end records into :class:`Span` objects."""
+    return _spans_and_samples(tracer)[0]
 
 
 def span_children(spans: Dict[int, Span]) -> Dict[int, List[int]]:
@@ -143,7 +152,7 @@ def chrome_trace(obs, process_name: str = "repro-nfs") -> Dict[str, Any]:
     (:func:`_canonical_ids`) and counter samples sorted, so two runs
     that simulate the same history export the same bytes.
     """
-    spans = build_spans(obs.tracer)
+    spans, samples = _spans_and_samples(obs.tracer)
     canonical = _canonical_ids(spans)
     tids: Dict[str, int] = {}
     events: List[Dict[str, Any]] = [
@@ -192,8 +201,7 @@ def chrome_trace(obs, process_name: str = "repro-nfs") -> Dict[str, Any]:
                 "args": args,
             }
         )
-    samples = sorted(
-        obs.tracer.records(kind="sample"),
+    samples.sort(
         key=lambda rec: (
             rec.time,
             rec.component,

@@ -1,5 +1,5 @@
 """Parallel sweep execution over independent simulated worlds."""
 
-from .executor import JobSpec, PointResult, SweepExecutor, default_jobs, run_job
+from .executor import SweepExecutor, default_jobs
 
-__all__ = ["JobSpec", "PointResult", "SweepExecutor", "run_job", "default_jobs"]
+__all__ = ["SweepExecutor", "default_jobs"]

@@ -10,13 +10,12 @@ throughput and p99 write latency, aggregate throughput over the
 contended window, Jain's fairness index across clients, and the
 servers' per-source ingest shares plus output-port queueing.
 
-The sweep-facing half mirrors :mod:`repro.parallel.executor`:
-:class:`FleetJobSpec` is a picklable value object describing one fleet
-point, :func:`run_fleet_job` materialises and runs it, and
-:class:`FleetPointResult` survives pickling and the JSON result cache.
-The executor's ``run_job`` and ``result_from_payload`` know both kinds,
-so ``SweepExecutor.map`` fans fleet points out over processes — and
-caches them — exactly like single-client points.
+The sweep-facing half is the one sweep-point type of
+:mod:`repro.parallel.executor`: :class:`FleetJobSpec` is a picklable
+value object describing one point (a Fig. 1/7 point is a one-client
+fleet), :func:`run_fleet_job` materialises and runs it, and
+:class:`FleetPointResult` survives pickling and the JSON result cache,
+so ``SweepExecutor.map`` fans points out over processes and caches them.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.stats import jain_index
 from ..bench.bonnie import BenchmarkResult
+from ..bench.workloads import trace_sha
 from ..cache import fingerprint
 from ..errors import ConfigError
 from ..units import throughput, to_mbps, to_us
@@ -100,8 +100,7 @@ class FleetResult:
     the whole fleet run; ``servers`` holds the per-server accounting
     rows (name, bytes, shares, port queueing) in server order; ``rows``
     the per-client reduced rows in client order, built by each client's
-    workload (``None`` for hand-assembled legacy results — the reducer
-    falls back to the sequential-write row shape).
+    workload.
     """
 
     __slots__ = ("clients", "events_processed", "servers", "rows")
@@ -110,12 +109,12 @@ class FleetResult:
         self,
         clients: List[FleetClientResult],
         events_processed: int,
-        servers: Optional[List[Dict[str, Any]]] = None,
-        rows: Optional[List[Dict[str, Any]]] = None,
+        servers: List[Dict[str, Any]],
+        rows: List[Dict[str, Any]],
     ):
         self.clients = clients
         self.events_processed = events_processed
-        self.servers = [] if servers is None else servers
+        self.servers = servers
         self.rows = rows
 
     @property
@@ -438,11 +437,6 @@ class FleetPointResult:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _trace_sha(result: BenchmarkResult) -> str:
-    blob = ",".join(str(v) for v in result.trace.latencies_ns)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def client_row(name: str, start_ns: int, end_ns: int, result: BenchmarkResult) -> Dict[str, Any]:
     """One client's reduced row: the latency trace travels as its p99
     and checksum, so cached points stay small."""
@@ -457,21 +451,14 @@ def client_row(name: str, start_ns: int, end_ns: int, result: BenchmarkResult) -
         "close_elapsed_ns": result.close_elapsed_ns,
         "p99_ns": result.trace.percentile_ns(99),
         "calls": len(result.trace),
-        "trace_sha": _trace_sha(result),
+        "trace_sha": trace_sha(result.trace.latencies_ns),
     }
 
 
 def reduce_fleet(fleet: FleetResult) -> FleetPointResult:
     """Reduce a live :class:`FleetResult` to its cacheable point form."""
-    if fleet.rows is not None:
-        clients = fleet.rows
-    else:
-        clients = [
-            client_row(c.name, c.start_ns, c.end_ns, c.result)
-            for c in fleet.clients
-        ]
     return FleetPointResult(
-        clients=clients,
+        clients=fleet.rows,
         servers=fleet.servers,
         events_processed=fleet.events_processed,
     )

@@ -10,11 +10,9 @@ A topology is described entirely by value objects — picklable frozen
   ``linux-100`` / ``local``) plus the matching config object,
 * :class:`SwitchSpec` — the shared switch.
 
-``ServerSpec`` is also the replacement for the old ``TestBed``
-``filer_config``/``linux_config``/``local_config`` kwarg pile:
-:meth:`ServerSpec.from_legacy` converts those kwargs, raising a
-:class:`~repro.errors.ConfigError` that names the replacement whenever
-a config is passed for a target that would have silently ignored it.
+``ServerSpec`` is the one way to configure a server, ``TestBed``
+included: a config of the wrong class for its kind is a
+:class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -45,13 +43,6 @@ _KIND_CONFIG = {
     "linux": LinuxServerConfig,
     "linux-100": LinuxServerConfig,
     "local": LocalFsConfig,
-}
-
-#: Legacy TestBed kwarg -> the kinds it applied to.
-_LEGACY_KWARGS = {
-    "filer_config": ("netapp",),
-    "linux_config": ("linux", "linux-100"),
-    "local_config": ("local",),
 }
 
 
@@ -96,42 +87,6 @@ class ServerSpec(Value):
     def is_local(self) -> bool:
         """Client-local ext2: no server host, no network."""
         return self.kind == "local"
-
-    @staticmethod
-    def from_legacy(
-        target: str,
-        filer_config: Optional[FilerConfig] = None,
-        linux_config: Optional[LinuxServerConfig] = None,
-        local_config: Optional[LocalFsConfig] = None,
-    ) -> "ServerSpec":
-        """Convert the deprecated per-kind TestBed kwargs.
-
-        A config passed for a target that does not use it was silently
-        ignored by the old kwarg pile; here it is a :class:`ConfigError`
-        naming the ``ServerSpec`` replacement.
-        """
-        if target not in SERVER_KINDS:
-            raise ConfigError(
-                f"unknown target {target!r} (expected one of {SERVER_KINDS})"
-            )
-        chosen = None
-        for kwarg, kinds in _LEGACY_KWARGS.items():
-            value = {
-                "filer_config": filer_config,
-                "linux_config": linux_config,
-                "local_config": local_config,
-            }[kwarg]
-            if value is None:
-                continue
-            if target not in kinds:
-                expected = _KIND_CONFIG[target].__name__
-                raise ConfigError(
-                    f"{kwarg} is ignored by target {target!r} — pass "
-                    f"server=ServerSpec({target!r}, config={expected}(...)) "
-                    "instead of the per-kind kwargs"
-                )
-            chosen = value
-        return ServerSpec(kind=target, config=chosen)
 
 
 class ClientSpec(Value):

@@ -13,6 +13,7 @@ from repro.config import (
     NfsClientConfig,
 )
 from repro.errors import SimulationError
+from repro.topology import ServerSpec
 from repro.units import MB, mbps
 
 
@@ -50,21 +51,18 @@ def test_custom_mount_applies():
 
 def test_custom_server_configs_apply():
     bed = TestBed(
-        target="netapp",
         client="stock",
-        filer_config=FilerConfig(ingest_bytes_per_sec=mbps(5)),
+        server=ServerSpec("netapp", FilerConfig(ingest_bytes_per_sec=mbps(5))),
     )
     assert bed.server.ingest_bytes_per_sec == mbps(5)
     bed = TestBed(
-        target="linux",
         client="stock",
-        linux_config=LinuxServerConfig(disk_bytes_per_sec=mbps(99)),
+        server=ServerSpec("linux", LinuxServerConfig(disk_bytes_per_sec=mbps(99))),
     )
     assert bed.server.disk.transfer_bytes_per_sec == mbps(99)
     bed = TestBed(
-        target="local",
         client="stock",
-        local_config=LocalFsConfig(disk_bytes_per_sec=mbps(7)),
+        server=ServerSpec("local", LocalFsConfig(disk_bytes_per_sec=mbps(7))),
     )
     assert bed.ext2.disk.transfer_bytes_per_sec == mbps(7)
 

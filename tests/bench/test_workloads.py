@@ -3,75 +3,89 @@
 import pytest
 
 from repro.bench import TestBed
-from repro.bench.workloads import (
-    random_writer,
-    run_workload,
-    sequential_writers,
-    sweep_file_sizes,
-    transaction_log,
-)
-from repro.errors import ConfigError
-from repro.units import MB, PAGE_SIZE
+from repro.bench.workloads import run_workload
+from repro.units import MB, PAGE_SIZE, throughput
 
 
 def make_bed(target="netapp", client="enhanced"):
     return TestBed(target=target, client=client)
 
 
-def test_sequential_writers_conserve_bytes():
+def run_writers(bed, nwriters, bytes_each, chunk_bytes=8192):
+    """N processes each streaming into its own fresh file, then closing
+    it; returns each writer's per-call latencies.
+
+    The §3.5 concern writ large: every writer contends with rpciod and
+    the flush daemon for the kernel lock.
+    """
+    latencies = [[] for _ in range(nwriters)]
+
+    def writer(index):
+        file = yield from bed.open_file(f"writer{index}")
+        remaining = bytes_each
+        while remaining:
+            chunk = min(chunk_bytes, remaining)
+            call_start = bed.sim.now
+            yield from bed.syscalls.write(file, chunk)
+            latencies[index].append(bed.sim.now - call_start)
+            remaining -= chunk
+        yield from bed.syscalls.close(file)
+
+    run_workload(bed, [(f"writer{i}", writer(i)) for i in range(nwriters)])
+    return latencies
+
+
+def test_writers_conserve_bytes():
     bed = make_bed()
-    result = sequential_writers(bed, nwriters=3, bytes_each=1 * MB)
-    assert result.bytes_written == 3 * MB
+    latencies = run_writers(bed, nwriters=3, bytes_each=1 * MB)
     assert sum(f.size for f in bed.server.files.values()) == 3 * MB
-    assert len(result.traces) == 3
-    assert all(len(t) == -(-MB // 8192) for t in result.traces)
-    assert result.total_mbps > 0
+    assert len(latencies) == 3
+    assert all(len(calls) == -(-MB // 8192) for calls in latencies)
+    assert throughput(3 * MB, bed.sim.now) > 0
 
 
 def test_more_writers_do_not_scale_linearly():
     """Shared client: N writers share the lock, CPUs and the wire."""
-    single = sequential_writers(make_bed(), 1, 2 * MB)
-    quad = sequential_writers(make_bed(), 4, 2 * MB)
-    assert quad.total_throughput < 4 * single.total_throughput
-    assert quad.total_throughput > 0.5 * single.total_throughput
 
+    def total_throughput(nwriters):
+        bed = make_bed()
+        run_writers(bed, nwriters, 2 * MB)
+        return throughput(nwriters * 2 * MB, bed.sim.now)
 
-def test_writers_validation():
-    with pytest.raises(ConfigError):
-        sequential_writers(make_bed(), 0, MB)
+    single, quad = total_throughput(1), total_throughput(4)
+    assert quad < 4 * single
+    assert quad > 0.5 * single
 
 
 def test_transaction_log_commit_latency():
-    filer = transaction_log(make_bed("netapp"), transactions=50)
-    linux = transaction_log(make_bed("linux"), transactions=50)
+    def commits(target):
+        params = {"transactions": 50}
+        return make_bed(target).topology.run_workload("database-fsync", params).trace
+
+    filer, linux = commits("netapp"), commits("linux")
     # Each fsync on the Linux server pays COMMIT + disk.
-    assert linux.traces[0].mean_ns() > filer.traces[0].mean_ns()
-    assert len(filer.traces[0]) == 50
+    assert linux.mean_ns() > filer.mean_ns()
+    assert len(filer) == 50
 
 
-def test_random_writer_completes_and_is_deterministic():
+def test_random_write_completes_and_is_deterministic():
     def one():
         bed = make_bed()
-        result = random_writer(bed, file_bytes=4 * MB, writes=100, seed=7)
-        return result.elapsed_ns, result.traces[0].latencies_ns
+        params = {"file_bytes": 4 * MB, "writes": 100, "seed": 7}
+        outcome = bed.topology.run_workload("random-write", params)
+        return bed.sim.now, outcome.trace.latencies_ns
 
     a, b = one(), one()
     assert a == b
     assert a[0] > 0
 
 
-def test_random_writer_rewrites_wait_for_inflight_pages():
+def test_random_write_rewrites_wait_for_inflight_pages():
     bed = make_bed()
-    random_writer(bed, file_bytes=64 * PAGE_SIZE, writes=300, seed=3)
+    params = {"file_bytes": 64 * PAGE_SIZE, "writes": 300, "seed": 3}
+    bed.topology.run_workload("random-write", params)
     # A small extent guarantees overlapping rewrites of in-flight pages.
     assert bed.nfs.stats.page_waits + bed.nfs.stats.coalesced_updates > 0
-
-
-def test_sweep_file_sizes_returns_pairs():
-    sizes = [MB, 2 * MB]
-    results = sweep_file_sizes(lambda: make_bed(), sizes)
-    assert [size for size, _r in results] == sizes
-    assert all(r.write_throughput > 0 for _s, r in results)
 
 
 def test_run_workload_surfaces_failures():

@@ -2,11 +2,12 @@
 
 from repro.bench import TestBed
 from repro.config import ClientHwConfig, LocalFsConfig, scaled
+from repro.topology import ServerSpec
 from repro.units import MB, PAGE_SIZE, seconds
 
 
-def run_local(nbytes, hw=None, do_fsync=True, local_config=None):
-    bed = TestBed(target="local", client="stock", hw=hw, local_config=local_config)
+def run_local(nbytes, hw=None, do_fsync=True, config=None):
+    bed = TestBed(client="stock", hw=hw, server=ServerSpec("local", config))
     result = bed.run_sequential_write(nbytes, do_fsync=do_fsync)
     return bed, result
 
@@ -79,6 +80,6 @@ def test_overwrite_same_pages_does_not_recharge():
 
 def test_disk_rate_config_respected():
     fast = LocalFsConfig(disk_bytes_per_sec=100 * MB)
-    bed, result = run_local(10 * MB, do_fsync=True, local_config=fast)
+    bed, result = run_local(10 * MB, do_fsync=True, config=fast)
     slow_bed, slow_result = run_local(10 * MB, do_fsync=True)
     assert result.flush_elapsed_ns < slow_result.flush_elapsed_ns

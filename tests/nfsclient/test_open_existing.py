@@ -5,6 +5,7 @@ import pytest
 from repro.bench import TestBed
 from repro.config import LinuxServerConfig, NfsClientConfig
 from repro.errors import ProtocolError
+from repro.topology import ServerSpec
 from repro.units import MB
 
 LAZY = NfsClientConfig(eager_flush_limits=False, hashtable_index=True)
@@ -85,7 +86,7 @@ def test_write_gathering_amortises_sync_seeks():
 
     def sync_elapsed(gathering):
         cfg = LinuxServerConfig(write_gathering=gathering)
-        bed = TestBed(target="linux", client=LAZY, linux_config=cfg)
+        bed = TestBed(client=LAZY, server=ServerSpec("linux", cfg))
 
         def body():
             from repro.nfsclient import NfsFile

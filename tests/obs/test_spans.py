@@ -36,6 +36,22 @@ def test_chrome_trace_validates(fig1_obs):
     assert {"M", "X", "C"} <= kinds
 
 
+def test_chrome_trace_decodes_the_trace_once(fig1_obs, monkeypatch):
+    tracer = fig1_obs.tracer
+    records = tracer.records
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return records(*args, **kwargs)
+
+    monkeypatch.setattr(tracer, "records", counted)
+    trace = chrome_trace(fig1_obs)
+    # Spans and counter samples come from one walk over the trace.
+    assert calls == [((), {})]
+    assert {"X", "C"} <= {e["ph"] for e in trace["traceEvents"]}
+
+
 def test_write_span_children_cover_the_write_path(fig1_obs):
     spans = build_spans(fig1_obs.tracer)
     write_roots = [

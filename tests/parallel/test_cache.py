@@ -12,13 +12,17 @@ from repro.cache import (
     fingerprint,
 )
 from repro.config import FilerConfig, NfsClientConfig
-from repro.parallel import JobSpec
+from repro.topology import ClientSpec, FleetJobSpec, ServerSpec
 
 
-def spec(**overrides):
-    base = dict(target="netapp", client="stock", file_bytes=2_000_000)
-    base.update(overrides)
-    return JobSpec(**base)
+def spec(target="netapp", client="stock", config=None, file_bytes=2_000_000, **fields):
+    """A one-client sweep point; ``fields`` are other FleetJobSpec fields."""
+    return FleetJobSpec(
+        clients=(ClientSpec(client=client),),
+        servers=(ServerSpec(target, config),),
+        file_bytes=file_bytes,
+        **fields,
+    )
 
 
 class TestFingerprint:
@@ -33,8 +37,8 @@ class TestFingerprint:
         assert spec(do_fsync=False).fingerprint() != base
 
     def test_nested_config_fields_participate(self):
-        a = spec(filer_config=FilerConfig()).fingerprint()
-        b = spec(filer_config=FilerConfig(nvram_bytes=1 << 20)).fingerprint()
+        a = spec(config=FilerConfig()).fingerprint()
+        b = spec(config=FilerConfig(nvram_bytes=1 << 20)).fingerprint()
         assert a != b
 
     def test_explicit_config_object_vs_variant_name(self):

@@ -1,26 +1,39 @@
 """Determinism across execution modes.
 
 The contract the whole performance stack rests on: a sweep point is a
-pure function of its JobSpec.  Serial in-process execution, process-pool
-execution, and a cache round-trip must all yield bit-identical numbers —
-including the full latency trace, not just the headline throughput.
+pure function of its :class:`~repro.topology.FleetJobSpec`.  Serial
+in-process execution, process-pool execution, and a cache round-trip
+must all yield bit-identical numbers — including each client's
+latency-trace digest, not just the headline throughput.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 from repro.cache import ResultCache
 from repro.chaos import run_spec
 from repro.config import FilerConfig, MountConfig, NetConfig
 from repro.experiments import ExecutionContext
 from repro.experiments.figure1 import run_sweep, sweep_specs
-from repro.parallel import JobSpec, PointResult, SweepExecutor
+from repro.parallel import SweepExecutor
+from repro.topology import ClientSpec, FleetJobSpec, ServerSpec
 from repro.units import MIB, ms
 
 from ..chaos import corpus_spec
 
+
+def point(target, client, file_bytes, net=None, mount=None, config=None):
+    """A one-client sweep point.  A client ``net`` also carries the
+    server's port, as it does on a ``TestBed`` (but not linux-100)."""
+    server_net = net if target in ("netapp", "linux") else None
+    return FleetJobSpec(
+        clients=(ClientSpec(client=client, net=net, mount=mount),),
+        servers=(ServerSpec(target, config, net=server_net),),
+        file_bytes=file_bytes,
+    )
+
+
 SPECS = [
-    JobSpec(target=target, client=client, file_bytes=size)
+    point(target, client, size)
     for target, client, size in (
         ("netapp", "stock", 2_000_000),
         ("linux", "enhanced", 2_000_000),
@@ -29,33 +42,32 @@ SPECS = [
 ]
 
 #: Runs with faults active: packet loss plus filer checkpoint pauses
-#: (tiny NVRAM forces a mid-run pause) and a lossy knfsd run.
-FAULTED_SPECS = [
-    JobSpec(
-        target="netapp",
-        client="stock",
-        file_bytes=2_000_000,
-        net=NetConfig(loss_probability=0.02),
-        mount=MountConfig(timeo_ns=ms(20), retrans=7),
-        filer_config=FilerConfig(nvram_bytes=2 * MIB),
+#: (tiny NVRAM forces a mid-run pause) and a lossy knfsd run, each with
+#: the fault-free point it is compared against.
+FAULTED = [
+    (
+        ("netapp", "stock", 2_000_000),
+        dict(
+            net=NetConfig(loss_probability=0.02),
+            mount=MountConfig(timeo_ns=ms(20), retrans=7),
+            config=FilerConfig(nvram_bytes=2 * MIB),
+        ),
     ),
-    JobSpec(
-        target="linux",
-        client="enhanced",
-        file_bytes=1_000_000,
-        net=NetConfig(loss_probability=0.01),
-        mount=MountConfig(timeo_ns=ms(20), retrans=7),
+    (
+        ("linux", "enhanced", 1_000_000),
+        dict(
+            net=NetConfig(loss_probability=0.01),
+            mount=MountConfig(timeo_ns=ms(20), retrans=7),
+        ),
     ),
 ]
+FAULTED_SPECS = [point(*args, **faults) for args, faults in FAULTED]
 
 
-def assert_identical(a: PointResult, b: PointResult):
-    assert a.write_mbps == b.write_mbps
-    assert a.flush_mbps == b.flush_mbps
-    assert a.close_mbps == b.close_mbps
-    assert a.latencies_ns == b.latencies_ns
-    assert a.latency_starts_ns == b.latency_starts_ns
-    assert a == b
+def assert_identical(a, b):
+    assert a.client_mbps() == b.client_mbps()
+    assert a.to_payload() == b.to_payload()
+    assert a.run_fingerprint() == b.run_fingerprint()
 
 
 def test_serial_vs_pool_bit_identical():
@@ -108,14 +120,14 @@ def test_faulted_runs_bit_identical_across_modes(tmp_path):
     cache = ResultCache(str(tmp_path))
     cold = SweepExecutor(jobs=1, cache=cache).map(FAULTED_SPECS)
     warm = SweepExecutor(jobs=2, cache=cache).map(FAULTED_SPECS)
-    clean = SweepExecutor(jobs=1).map(
-        [replace(spec, net=None, mount=None, filer_config=None)
-         for spec in FAULTED_SPECS]
-    )
+    clean = SweepExecutor(jobs=1).map([point(*args) for args, _ in FAULTED])
     for s, p, c, w, base in zip(serial, pooled, cold, warm, clean):
         # The faults really fired: loss + pauses cost wall-clock time.
-        faulted_total = s.write_elapsed_ns + s.flush_elapsed_ns
-        assert faulted_total > base.write_elapsed_ns + base.flush_elapsed_ns
+        (faulted,), (fault_free,) = s.clients, base.clients
+        faulted_total = faulted["write_elapsed_ns"] + faulted["flush_elapsed_ns"]
+        assert faulted_total > (
+            fault_free["write_elapsed_ns"] + fault_free["flush_elapsed_ns"]
+        )
         assert_identical(s, p)
         assert_identical(s, c)
         assert_identical(s, w)
@@ -136,5 +148,6 @@ def test_fault_scenario_identical_in_process_and_in_worker():
 def test_sweep_specs_cover_the_grid():
     sizes, specs = sweep_specs("stock", 8.0, True)
     assert len(specs) == 3 * len(sizes)
-    assert {s.target for s in specs} == {"local", "netapp", "linux"}
-    assert all(s.client == "stock" for s in specs)
+    assert {s.servers[0].kind for s in specs} == {"local", "netapp", "linux"}
+    assert all(len(s.clients) == 1 for s in specs)
+    assert all(s.clients[0].client == "stock" for s in specs)

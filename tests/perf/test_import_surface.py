@@ -113,14 +113,20 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 def test_lazy_names_resolve_and_fleet_payloads_revive_cold():
     result = _run(
         """
-import json, sys
+import json, sys, tempfile
 import repro, repro.obs
-from repro.parallel.executor import result_from_payload
 
 cold = "repro.topology" not in sys.modules
-point = result_from_payload(
-    {"__kind__": "fleet", "clients": [], "servers": [], "events_processed": 7}
-)
+from repro.topology import FleetJobSpec
+
+spec = FleetJobSpec.homogeneous(1)
+with tempfile.TemporaryDirectory() as tmp:
+    cache = repro.ResultCache(tmp)
+    cache.put(
+        spec.fingerprint(),
+        {"__kind__": "fleet", "clients": [], "servers": [], "events_processed": 7},
+    )
+    (point,) = repro.SweepExecutor(cache=cache).map([spec])
 missing = [
     f"{package.__name__}.{name}"
     for package in (repro, repro.obs)

@@ -15,7 +15,6 @@ import pytest
 from repro.cache import fingerprint
 from repro.config import ClientHwConfig, CpuCosts, MountConfig, NetConfig
 from repro.errors import ConfigError
-from repro.parallel import JobSpec
 from repro.topology import FleetJobSpec
 from repro.topology.spec import ClientSpec, ServerSpec, SwitchSpec
 from repro.traffic.spec import ArrivalSpec
@@ -25,7 +24,6 @@ from repro.value import Value
 #: ``fingerprint(spec, version="pinned")`` as computed when these
 #: classes were still frozen dataclasses.
 PINNED_DIGESTS = {
-    "job": "9d18913adab03c1ce428982f23b350d7475343ebea8bd5a0eee4af709b5ee67c",
     "fleet": "e366a843c3f1ea507361bc0549832d6ee73ddfc023e86c92711aecbbf918895a",
 }
 
@@ -198,7 +196,5 @@ def test_subclasses_inherit_fields_and_may_override_defaults():
 
 
 def test_job_spec_fingerprints_match_the_dataclass_digests():
-    job = JobSpec(target="netapp", client="stock", file_bytes=1 << 20)
     fleet = FleetJobSpec.homogeneous(4, target="netapp", file_bytes=256 * KIB)
-    assert fingerprint(job, version="pinned") == PINNED_DIGESTS["job"]
     assert fingerprint(fleet, version="pinned") == PINNED_DIGESTS["fleet"]

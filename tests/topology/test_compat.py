@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import TestBed
-from repro.config import FilerConfig, LinuxServerConfig, NetConfig
+from repro.config import FilerConfig, NetConfig
 from repro.errors import ConfigError
 from repro.topology import ServerSpec, Topology
 from repro.units import KIB
@@ -51,11 +51,6 @@ def test_testbed_accepts_server_spec():
     assert bed.target == "netapp"
 
 
-def test_server_and_legacy_kwargs_conflict():
-    with pytest.raises(ConfigError, match="not both"):
-        TestBed(server=ServerSpec("netapp"), filer_config=FilerConfig())
-
-
 def test_target_must_agree_with_server_kind():
     with pytest.raises(ConfigError, match="contradicts"):
         TestBed(target="linux", server=ServerSpec("netapp"))
@@ -66,19 +61,6 @@ def test_target_must_agree_with_server_kind():
 def test_server_must_be_a_server_spec():
     with pytest.raises(ConfigError, match="must be a ServerSpec"):
         TestBed(server=FilerConfig())
-
-
-def test_legacy_kwargs_warn_but_work():
-    with pytest.warns(DeprecationWarning, match="ServerSpec"):
-        bed = TestBed(target="linux", linux_config=LinuxServerConfig())
-    assert bed.target == "linux"
-
-
-def test_mismatched_legacy_kwarg_is_an_error():
-    # The old TestBed silently ignored a filer_config on a linux target.
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ConfigError, match="ignored by target"):
-            TestBed(target="linux", filer_config=FilerConfig())
 
 
 def test_testbed_bit_identical_to_one_client_topology():

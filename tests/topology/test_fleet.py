@@ -3,10 +3,10 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.parallel.executor import result_from_payload
 from repro.topology import (
     ClientSpec,
     FleetJobSpec,
+    FleetPointResult,
     FleetWorkload,
     ServerSpec,
     Topology,
@@ -114,30 +114,8 @@ def test_point_result_payload_roundtrip():
     point = run_fleet_job(FleetJobSpec.homogeneous(2, file_bytes=FILE))
     payload = point.to_payload()
     assert payload["__kind__"] == "fleet"
-    revived = result_from_payload(payload)
-    assert type(revived).__name__ == "FleetPointResult"
+    revived = FleetPointResult.from_payload(payload)
     assert revived.run_fingerprint() == point.run_fingerprint()
     assert revived.aggregate_mbps == point.aggregate_mbps
     assert revived.fairness == point.fairness
     assert revived.client_mbps() == point.client_mbps()
-
-
-def test_unknown_payload_kind_is_an_error():
-    with pytest.raises(ConfigError, match="unknown kind"):
-        result_from_payload({"__kind__": "warp-drive"})
-
-
-def test_legacy_payload_without_kind_is_a_point_result():
-    payload = {
-        "file_bytes": FILE,
-        "chunk_bytes": 8192,
-        "write_elapsed_ns": 1000,
-        "flush_elapsed_ns": 2000,
-        "close_elapsed_ns": 3000,
-        "events_processed": 42,
-        "latency_starts_ns": [],
-        "latencies_ns": [],
-    }
-    revived = result_from_payload(payload)
-    assert type(revived).__name__ == "PointResult"
-    assert revived.file_bytes == FILE

@@ -1,4 +1,4 @@
-"""Spec validation: kinds, config matching, legacy conversion."""
+"""Spec validation: kinds, config matching, client replication."""
 
 import pytest
 
@@ -8,9 +8,12 @@ from repro.topology import SERVER_KINDS, ClientSpec, ServerSpec
 
 
 def test_server_kinds_match_testbed():
-    from repro.bench import SERVER_KINDS as BENCH_KINDS
+    from repro.bench import TestBed
 
-    assert SERVER_KINDS == BENCH_KINDS == ("netapp", "linux", "linux-100", "local")
+    assert SERVER_KINDS == ("netapp", "linux", "linux-100", "local")
+    assert [TestBed(target=kind).target for kind in SERVER_KINDS] == list(
+        SERVER_KINDS
+    )
 
 
 def test_unknown_kind_rejected():
@@ -31,26 +34,6 @@ def test_config_type_must_match_kind(kind, good, bad):
     assert ServerSpec(kind, good).config is good
     with pytest.raises(ConfigError, match="takes a"):
         ServerSpec(kind, bad)
-
-
-def test_from_legacy_picks_the_matching_config():
-    filer = FilerConfig(nvram_bytes=4_000_000)
-    spec = ServerSpec.from_legacy("netapp", filer_config=filer)
-    assert spec.kind == "netapp" and spec.config is filer
-    linux = LinuxServerConfig(write_gathering=True)
-    assert ServerSpec.from_legacy("linux-100", linux_config=linux).config is linux
-    assert ServerSpec.from_legacy("linux").config is None
-
-
-def test_from_legacy_rejects_mismatched_kwarg():
-    # The old TestBed silently ignored these; now the error names the
-    # ServerSpec replacement.
-    with pytest.raises(ConfigError, match=r"server=ServerSpec\('linux'"):
-        ServerSpec.from_legacy("linux", filer_config=FilerConfig())
-    with pytest.raises(ConfigError, match="local_config is ignored"):
-        ServerSpec.from_legacy("netapp", local_config=LocalFsConfig())
-    with pytest.raises(ConfigError, match="unknown target"):
-        ServerSpec.from_legacy("ramdisk")
 
 
 def test_client_spec_validation():
